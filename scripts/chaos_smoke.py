@@ -27,11 +27,11 @@ contract (see README "Failure semantics"):
 5. **Fault evidence** — exactly one spill quarantined; retries
    actually happened; with fork available, at least one execution
    group was recovered after the worker kill.
-6. **No leaked shared memory** — after all passes (including the
-   worker kill mid-transfer and the overload burst), no
-   ``supg-plane-*`` or ``supg-zonemap-*`` segment survives in
-   ``/dev/shm``: every data-plane and zone-map-index segment was
-   unlinked by its owner or reclaimed by the parent's crash sweep.
+6. **No leaked temp files** — after all passes (including the worker
+   kill and the overload burst), no ``supg-*`` entry is left in
+   ``/dev/shm`` or in ``tempfile.gettempdir()``: fork workers return
+   results over the pool pipe, so a killed worker leaves nothing
+   behind for anyone to clean up.
 7. **Overload contract** — a 2×-capacity concurrent submit burst
    against a hard oracle outage (:func:`run_overload_pass`) resolves
    every ticket to a bit-identical success or a *typed* error
@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -70,9 +69,8 @@ import numpy as np
 import threading
 
 from repro.core.planning import fork_available
-from repro.core.shm import SEGMENT_PREFIX
 from repro.core.stats_backend import statistic_entries
-from repro.core.zonemap import MIN_INDEXED_SIZE, ZONEMAP_SEGMENT_PREFIX
+from repro.core.zonemap import MIN_INDEXED_SIZE
 from repro.datasets import load_dataset
 from repro.faults import FaultPlan, corrupt_spill, corrupt_statistic, inject
 from repro.oracle import OracleCircuitBreaker, RetryPolicy
@@ -492,7 +490,7 @@ def main(argv=None) -> int:
     if plan.kill_execution is not None and chaos_stats.get("recovered_groups", 0) == 0:
         failures.append("worker kill requested but no execution group was recovered")
 
-    # Gate 7 (run before the leak sweep so its segments are covered):
+    # Gate 7 (run before the leak sweep so its files are covered):
     # the overload contract — a 2×-capacity concurrent burst against a
     # dead oracle resolves every ticket to a bit-identical success or a
     # typed error, trips and recovers the circuit breaker, and leaves
@@ -513,17 +511,15 @@ def main(argv=None) -> int:
         )
     failures.extend(backend_failures)
 
-    # Gate 6: no leaked shared-memory segments.  Both passes (and the
-    # killed worker's orphaned result transfer) must leave /dev/shm
-    # clean once their services close — including the zone-map index
-    # segments, which publish under their own prefix.
-    leaked: list[str] = []
-    if os.path.isdir("/dev/shm"):
-        for prefix in (SEGMENT_PREFIX, ZONEMAP_SEGMENT_PREFIX):
-            leaked.extend(p.name for p in Path("/dev/shm").glob(f"{prefix}-*"))
-        leaked.sort()
-        if leaked:
-            failures.append(f"leaked shared-memory segments: {', '.join(leaked)}")
+    # Gate 6: no leaked temp files.  Every pass (and the killed worker)
+    # must leave no supg-* entry in /dev/shm or the temp directory.
+    leaked = sorted(
+        str(path)
+        for directory in ("/dev/shm", tempfile.gettempdir())
+        for path in Path(directory).glob("supg-*")
+    )
+    if leaked:
+        failures.append(f"leaked temp files: {', '.join(leaked)}")
 
     summary = {
         "queries": args.queries,
@@ -538,7 +534,7 @@ def main(argv=None) -> int:
         "recovered_groups": chaos_stats.get("recovered_groups", 0),
         "typed_failures": errored,
         "hung": chaos_stats["hung"],
-        "leaked_segments": leaked,
+        "leaked_files": leaked,
         "overload": overload_summary,
         "backend_corruption": backend_summary,
         "gates_failed": failures,

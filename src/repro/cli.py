@@ -37,7 +37,6 @@ from pathlib import Path
 from .bounds import available_bounds, get_bound
 from .core.pipeline import QUARANTINE_DIRNAME, ExecutionContext, SampleStore
 from .core.planning import plan_budget
-from .core.shm import DATA_PLANE_MODES, default_mode, set_default_mode
 from .core.stats_backend import statistic_entries
 from .core.types import ApproxQuery
 from .core.zonemap import MIN_INDEXED_SIZE, ScoreZoneMap
@@ -82,20 +81,6 @@ def _add_oracle_robustness_flags(sub: argparse.ArgumentParser) -> None:
         "TransientOracleError), with capped exponential backoff; retried "
         "calls are never double-charged against the label budget "
         "(default: 0 unless --oracle-timeout is set, then 3)",
-    )
-
-
-def _add_data_plane_flag(sub: argparse.ArgumentParser) -> None:
-    """``--data-plane``, shared by the commands that fan out workers."""
-    sub.add_argument(
-        "--data-plane",
-        choices=DATA_PLANE_MODES,
-        default=None,
-        help="how parallel workers read dataset statistics and return "
-        "results: 'shm' (POSIX shared memory, default where available), "
-        "'mmap' (memory-mapped spill files in the store directory), or "
-        "'pickle' (everything rides the worker pipe). Results are "
-        "bit-identical across modes",
     )
 
 
@@ -173,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         "reuse labeled oracle samples instead of re-drawing them",
     )
     _add_oracle_robustness_flags(query)
-    _add_data_plane_flag(query)
     _add_backend_flags(query)
 
     serve = commands.add_parser(
@@ -278,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds an open breaker waits before allowing a half-open probe",
     )
     _add_oracle_robustness_flags(serve)
-    _add_data_plane_flag(serve)
     _add_backend_flags(serve)
 
     plan = commands.add_parser(
@@ -340,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run draws zero new oracle labels).  With --jobs 1 the run also "
         "prints the store's reuse counters.",
     )
-    _add_data_plane_flag(experiment)
 
     return parser
 
@@ -404,7 +386,6 @@ def _cmd_query(args, out) -> int:
         engine = SupgEngine(
             store_dir=store_dir,
             retry_policy=_retry_policy_from_args(args),
-            data_plane=getattr(args, "data_plane", None),
             backend=getattr(args, "backend", None),
             chunk_records=getattr(args, "chunk_records", None),
         )
@@ -429,12 +410,7 @@ def _cmd_query(args, out) -> int:
         # Multi-statement input runs as one planned batch: shared
         # oracle draws are paid for once, then groups fan across
         # --jobs workers.  Results match a sequential execute() loop.
-        workers = resolve_n_jobs(args.jobs)
-        plane_label = getattr(args, "data_plane", None) or default_mode()
-        print(
-            f"workers   : {workers} (data plane: {plane_label})",
-            file=out,
-        )
+        print(f"workers   : {resolve_n_jobs(args.jobs)}", file=out)
         executions = engine.execute_many(
             statements, seed=args.seed, method=args.method, jobs=args.jobs, **kwargs
         )
@@ -465,7 +441,6 @@ def _build_service(args) -> tuple[SupgService, object, dict]:
     engine = SupgEngine(
         store_dir=store_dir,
         retry_policy=_retry_policy_from_args(args),
-        data_plane=getattr(args, "data_plane", None),
         backend=getattr(args, "backend", None),
         chunk_records=getattr(args, "chunk_records", None),
     )
@@ -558,11 +533,7 @@ def _cmd_serve(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    plane_label = getattr(args, "data_plane", None) or default_mode()
-    print(
-        f"workers   : {workers} per window (data plane: {plane_label})",
-        file=out,
-    )
+    print(f"workers   : {workers} per window", file=out)
     try:
         service, dataset, submit_kwargs = _build_service(args)
     except ValueError as exc:
@@ -925,18 +896,6 @@ def _cmd_experiment(args, out) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # Experiment drivers build their own planes via the ambient default;
-    # scope the override to this run so embedding callers are unaffected.
-    previous_plane = default_mode()
-    if getattr(args, "data_plane", None) is not None:
-        set_default_mode(args.data_plane)
-    try:
-        return _run_experiment(args, driver, jobs, out)
-    finally:
-        set_default_mode(previous_plane)
-
-
-def _run_experiment(args, driver, jobs: int, out) -> int:
     params = inspect.signature(driver).parameters
     kwargs = {}
     if "n_jobs" in params:

@@ -37,11 +37,6 @@ from .registry import (
     sample_reusable_selectors,
     selector_class,
 )
-from .shm import (
-    PlaneIntegrityError,
-    SharedArrayPlane,
-    downcast_indices,
-)
 from .theory import (
     estimator_variance_term,
     optimal_weights,
@@ -102,9 +97,6 @@ __all__ = [
     "plan_executions",
     "resolve_n_jobs",
     "effective_workers",
-    "SharedArrayPlane",
-    "PlaneIntegrityError",
-    "downcast_indices",
     "available_selectors",
     "make_selector",
     "default_selector",

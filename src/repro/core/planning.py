@@ -35,6 +35,10 @@ of racing to re-draw the same key), and yields independent
 :meth:`~QueryPlan.batches` to fan across workers.
 :meth:`repro.query.engine.SupgEngine.execute_many` and the experiment
 runner's parallel warm-up are both built on it.
+
+Both then run their independent work through :func:`fan_out`, the one
+fork fan-out (and the one worker-death recovery path) in the repo,
+sized by :func:`effective_workers`.
 """
 
 from __future__ import annotations
@@ -44,11 +48,14 @@ import multiprocessing
 import os
 import warnings
 from collections import OrderedDict
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..faults import maybe_kill_worker
 from ..sampling import DEFAULT_EXPONENT, DEFAULT_MIXING, proxy_sampling_weights
 from ..sampling.designs import SampleDesign
 from .types import ApproxQuery, TargetType
@@ -68,6 +75,7 @@ __all__ = [
     "plan_executions",
     "resolve_n_jobs",
     "effective_workers",
+    "fan_out",
     "worker_share",
     "fork_available",
     "require_fork_or_warn",
@@ -112,6 +120,69 @@ def effective_workers(n_jobs: int | None, tasks: int, what: str) -> int:
     if workers > 1 and not require_fork_or_warn(what):
         workers = 1
     return workers
+
+
+#: The task function of the fan-out this process works for.  Set by the
+#: pool initializer inside each forked worker, never in the parent, so
+#: concurrent fan-outs (service windows on threads) share no state.
+_WORKER_RUN: Callable | None = None
+
+
+def _install_worker_run(run: Callable) -> None:
+    global _WORKER_RUN
+    _WORKER_RUN = run
+
+
+def _run_worker_task(task):
+    maybe_kill_worker(task)  # chaos seam; no-op unless a fault plan is active
+    return _WORKER_RUN(task)
+
+
+def fan_out(
+    tasks: Sequence[Sequence[int]], run: Callable[[Sequence[int]], object], jobs: int
+) -> tuple[list, list[int]]:
+    """Run ``run(task)`` for every task across ``jobs`` fork workers.
+
+    The one fan-out behind engine batches, service windows, trial
+    chunks, panel chunks and sweep cells.  Workers fork from the
+    caller, so ``run`` (usually a closure, which ``spawn`` could not
+    pickle) and everything it references arrive without serialization:
+    in-memory statistics as copy-on-write pages, disk statistics as
+    inherited memmaps, a pre-warmed sample store as-is.  Only tasks go
+    down the pool pipe and only pickled results come back.  Each task
+    is an iterable of execution indices, which the chaos seam
+    :func:`~repro.faults.maybe_kill_worker` reads.
+
+    A worker that dies mid-task (OOM kill, segfault, an injected
+    ``kill_execution``) fails its unfinished futures with
+    ``BrokenProcessPool`` — where ``multiprocessing.Pool.map`` would
+    hang forever.  Those tasks re-run in the caller; every task is
+    seeded, so the re-run returns what the worker would have.  Any
+    other exception propagates.  Callers size ``jobs`` with
+    :func:`effective_workers` and run sequentially themselves when it
+    is 1.
+
+    Returns:
+        ``(results, recovered)`` — one result per task in task order,
+        and the positions of the tasks that were re-run in the caller.
+    """
+    results: list = [None] * len(tasks)
+    recovered: list[int] = []
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(tasks)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_worker_run,
+        initargs=(run,),
+    ) as pool:
+        futures = [pool.submit(_run_worker_task, task) for task in tasks]
+        for position, future in enumerate(futures):
+            try:
+                results[position] = future.result()
+            except BrokenProcessPool:
+                recovered.append(position)
+    for position in recovered:
+        results[position] = run(tasks[position])
+    return results, recovered
 
 
 def worker_share(n_jobs: int | None, consumers: int) -> int:

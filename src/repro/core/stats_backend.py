@@ -75,10 +75,7 @@ __all__ = [
 #: large enough that the merge runs at memory bandwidth.
 DEFAULT_CHUNK_RECORDS = 1 << 20
 
-#: Backend statistic files under a store directory.  The shared-array
-#: plane's mmap files use the same ``stat-`` naming but live in a
-#: per-plane *subdirectory* (``store_dir/supg-plane-*/``), so this glob
-#: only ever sees backend-owned files.
+#: Backend statistic files under a store directory.
 STAT_FILE_GLOB = "stat-*.npy"
 
 #: Metadata sidecars (full fingerprint, record count, dtype) validating
@@ -117,9 +114,8 @@ def _note_chunk(counters: dict[str, int] | None, nbytes: int) -> None:
 def weight_stat_name(exponent: float, mixing: float) -> str:
     """Canonical statistic name for a defensive weight vector.
 
-    Shared by :meth:`Dataset.publish` (plane segment names) and
-    :class:`DiskBackend` (file names) so a weight vector is the same
-    statistic everywhere it is cached.
+    Names the :class:`DiskBackend`'s weight files, so a weight vector
+    is the same statistic in every session sharing a store directory.
     """
     return f"weights-{float(exponent):g}-{float(mixing):g}"
 
@@ -409,8 +405,8 @@ class DiskBackend(StatisticsBackend):
     ``os.replace``d into place — readers either see the complete pair
     or nothing.  Opened views are ``mmap_mode="r"`` windows shared
     freely across fork workers (and re-openable by path from any
-    process), which is what lets the shared-array plane hand workers
-    file paths instead of copying bytes.
+    process), so a fan-out's workers share the page cache instead of
+    copying bytes.
     """
 
     kind = "disk"

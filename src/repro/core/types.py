@@ -102,34 +102,6 @@ class SelectionResult:
         if self.oracle_calls < 0:
             raise ValueError(f"oracle_calls must be non-negative, got {self.oracle_calls}")
 
-    @classmethod
-    def from_transfer(
-        cls,
-        indices: np.ndarray,
-        tau: float,
-        oracle_calls: int,
-        sampled_indices: np.ndarray,
-        details: Mapping[str, object],
-    ) -> "SelectionResult":
-        """Rebuild a result decoded from a worker transfer.
-
-        The arrays were normalized by ``__post_init__`` in the worker
-        before encoding, so re-running the ``np.unique`` pass here
-        would only re-sort already-sorted data on the parent's critical
-        path.  Callers must pass ``intp`` arrays with the worker's
-        exact values; this mirrors how unpickling a result also skips
-        ``__post_init__``.
-        """
-        result = object.__new__(cls)
-        object.__setattr__(result, "indices", np.asarray(indices, dtype=np.intp))
-        object.__setattr__(result, "tau", tau)
-        object.__setattr__(result, "oracle_calls", oracle_calls)
-        object.__setattr__(
-            result, "sampled_indices", np.asarray(sampled_indices, dtype=np.intp)
-        )
-        object.__setattr__(result, "details", details)
-        return result
-
     @property
     def size(self) -> int:
         """Number of returned records ``|R|``."""

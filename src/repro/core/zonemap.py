@@ -6,8 +6,7 @@ dataset's proxy scores: *how many* records lie at or above a threshold
 (``Dataset.select_above``, ``materialize_selection``).  Both were O(n)
 full-array passes per query, even though the engine already pays to
 fully sort every dataset's scores (``Dataset.sorted_scores`` /
-``score_order``, shared zero-copy across workers since the data plane
-landed).
+``score_order``, which fork workers inherit from the parent).
 
 A :class:`ScoreZoneMap` partitions the *sorted score order* into K
 equi-depth strata of ~:data:`DEFAULT_STRATUM_SIZE` records and keeps,
@@ -37,13 +36,11 @@ counted in ``zonemap_dense_fallbacks``).  Datasets below
 (``Dataset.zone_map`` is ``None``) — at that size the dense pass is
 already cheap and the index bookkeeping is pure overhead.
 
-The index arrays are tiny (4 arrays of K ≈ n / 8192 entries), so they
-publish through the :class:`~repro.core.shm.SharedArrayPlane` like any
-other dataset statistic — under the dedicated ``supg-zonemap`` segment
-prefix so the chaos smoke can assert cleanup separately — and persist
-as an ``.npz`` sidecar next to the sample store's spills / the plane's
-mmap statistics (:meth:`ScoreZoneMap.save_sidecar`), keyed and
-validated by dataset fingerprint so a stale sidecar is never served.
+The index arrays are tiny (4 arrays of K ≈ n / 8192 entries), so fork
+workers inherit them like any other dataset statistic, and they
+persist as an ``.npz`` sidecar next to the sample store's spills
+(:meth:`ScoreZoneMap.save_sidecar`), keyed and validated by dataset
+fingerprint so a stale sidecar is never served.
 
 NaN proxy scores would break the dense/indexed equivalence (NaN
 compares false against every ``tau`` but sorts to the end of
@@ -66,7 +63,6 @@ __all__ = [
     "MIN_INDEXED_SIZE",
     "SIDECAR_FORMAT_VERSION",
     "SIDECAR_GLOB",
-    "ZONEMAP_SEGMENT_PREFIX",
     "ScoreZoneMap",
     "SkipEstimate",
 ]
@@ -86,18 +82,10 @@ MIN_INDEXED_SIZE = 4 * DEFAULT_STRATUM_SIZE
 #: radix-sorting an O(n)-sized index tail.
 DENSE_FALLBACK_FRACTION = 0.25
 
-#: Shared-memory segments holding published zone-map arrays use this
-#: prefix (instead of the plane's ``supg-plane``), so the chaos smoke's
-#: leak sweep can assert on them by name.
-ZONEMAP_SEGMENT_PREFIX = "supg-zonemap"
-
 SIDECAR_FORMAT_VERSION = 1
 
 #: Filename pattern of persisted sidecars inside a store directory.
 SIDECAR_GLOB = "zonemap-*.npz"
-
-#: Plane statistic names, aligned with :attr:`ScoreZoneMap._ARRAYS`.
-_STAT_NAMES = ("zonemap-offsets", "zonemap-lows", "zonemap-highs", "zonemap-mass")
 
 
 @dataclass(frozen=True)
@@ -133,10 +121,9 @@ class ScoreZoneMap:
     """Equi-depth strata over one dataset's sorted proxy scores.
 
     Construct via :meth:`build` (from the cached ascending
-    ``sorted_scores``), :meth:`load_sidecar`, or :meth:`attach`.  The
-    map holds only per-stratum summaries — the score arrays themselves
-    stay on the dataset — so instances are cheap to publish, pickle,
-    and persist.
+    ``sorted_scores``) or :meth:`load_sidecar`.  The map holds only
+    per-stratum summaries — the score arrays themselves stay on the
+    dataset — so instances are cheap to inherit, pickle, and persist.
 
     Per-process telemetry accrues in :attr:`counters` (aggregated into
     ``SupgEngine.session_stats()``); counts from forked workers die
@@ -190,9 +177,8 @@ class ScoreZoneMap:
     ) -> "ScoreZoneMap":
         """Build the index from ascending sorted scores.
 
-        Deterministic in the inputs, so a map built before publishing
-        and a map rebuilt (or attached) in a fork child are
-        element-identical.
+        Deterministic in the inputs, so a map built in the parent and a
+        map rebuilt in a fork child are element-identical.
         """
         scores = np.asarray(sorted_scores, dtype=float)
         if scores.ndim != 1 or scores.size == 0:
@@ -381,59 +367,6 @@ class ScoreZoneMap:
             est_selected=self.size - int(self.offsets[start]),
             est_skipped=int(self.offsets[start]),
         )
-
-    # -- shared-memory plane ---------------------------------------------------
-
-    def publish(self, plane, fingerprint: str) -> None:
-        """Move the index arrays into a shared-array plane.
-
-        Idempotent; segments carry the :data:`ZONEMAP_SEGMENT_PREFIX`
-        so they are distinguishable from the plane's own statistics in
-        ``/dev/shm`` (and in the chaos smoke's leak sweep).
-        """
-        if plane is None or plane.mode == "pickle":
-            return
-        for attr, name in zip(
-            ("offsets", "lows", "highs", "score_mass"), _STAT_NAMES
-        ):
-            setattr(
-                self,
-                attr,
-                plane.share(
-                    fingerprint,
-                    name,
-                    getattr(self, attr),
-                    segment_prefix=ZONEMAP_SEGMENT_PREFIX,
-                ),
-            )
-
-    @classmethod
-    def attach(cls, plane, fingerprint: str) -> "ScoreZoneMap | None":
-        """Rebuild a map over a plane's already-published index arrays.
-
-        Returns ``None`` unless every index array is published for the
-        fingerprint.  The attached map is element-identical to the one
-        built before publishing (:meth:`build` is deterministic and
-        the plane stores the built arrays verbatim).
-        """
-        if plane is None or plane.mode == "pickle":
-            return None
-        views = [plane.view(fingerprint, name) for name in _STAT_NAMES]
-        if any(view is None for view in views):
-            return None
-        return cls(*views)
-
-    def localize(self, view_ids: "set[int]") -> None:
-        """Copy plane-backed arrays back to locally owned memory.
-
-        Called by the plane's detach pass when it closes, exactly like
-        the dataset's sorted-score statistics: a few-KB memcpy keeps
-        the map usable after its segments are unlinked.
-        """
-        for attr in ("offsets", "lows", "highs", "score_mass"):
-            array = getattr(self, attr)
-            if id(array) in view_ids:
-                setattr(self, attr, np.array(array))
 
     # -- sidecar persistence ---------------------------------------------------
 

@@ -260,94 +260,20 @@ class Dataset:
             cache[key] = weights
         return weights
 
-    # ------------------------------------------------------------------
-    # Shared-memory data plane.  Before a fan-out forks workers, the
-    # parent publishes this dataset's big arrays into a
-    # :class:`~repro.core.shm.SharedArrayPlane`; the cached statistics
-    # then resolve to plane-backed read-only views, so fork workers
-    # read truly shared pages instead of copy-on-write ones.  Values
-    # are bytewise identical either way — publishing never changes what
-    # any selector computes.
-    # ------------------------------------------------------------------
+    def warm_statistics(self) -> int:
+        """Compute the statistics fork workers read, before they fork.
 
-    @staticmethod
-    def _weight_stat_name(key: tuple[float, float]) -> str:
-        return f"weights-{key[0]:g}-{key[1]:g}"
-
-    def publish(self, plane) -> None:
-        """Move this dataset's statistics into a shared-array plane.
-
-        Idempotent, and a no-op for a ``pickle``-mode plane.  The
-        fingerprint is resolved first (it hashes the original proxy
-        scores); ``sorted_scores`` / ``score_order`` are computed here
-        if not already cached, and every importance-weight vector
-        cached so far moves too — call this *after* a plan prewarm so
-        the designs' weights are included.  ``plane.close()`` reverts
-        every statistic to a locally owned array.
+        Fan-outs call this in the parent so every worker inherits one
+        copy of the sorted scores, the score order and the zone map —
+        in-memory arrays as copy-on-write pages, disk statistics as
+        memmaps over the store's files — instead of each worker
+        rebuilding them.  Returns how many cached statistics are
+        file-backed (``np.memmap``), i.e. shared through the page cache.
         """
-        if plane is None or plane.mode == "pickle":
-            return
-        fingerprint = self.fingerprint
-        self.__dict__["sorted_scores"] = plane.share(
-            fingerprint, "sorted-scores", self.sorted_scores
-        )
-        self.__dict__["score_order"] = plane.share(
-            fingerprint, "score-order", self.score_order
-        )
-        object.__setattr__(
-            self,
-            "proxy_scores",
-            plane.share(fingerprint, "proxy-scores", self.proxy_scores),
-        )
-        cache = self.__dict__.setdefault("_weight_cache", {})
-        for key in list(cache):
-            cache[key] = plane.share(
-                fingerprint, self._weight_stat_name(key), cache[key]
-            )
-        zone_map = self.zone_map
-        if zone_map is not None:
-            zone_map.publish(plane, fingerprint)
-        plane.register_dataset(self)
-
-    def attach(self, plane) -> bool:
-        """Resolve cached statistics to a plane's published views.
-
-        The fork path never needs this — workers inherit the published
-        views directly — but a dataset object that arrived by pickle
-        (same content, fresh caches) can re-attach by fingerprint
-        instead of recomputing.  Returns whether anything attached.
-        """
-        if plane is None or plane.mode == "pickle":
-            return False
-        fingerprint = self.fingerprint
-        attached = False
-        for attr, name in (
-            ("sorted_scores", "sorted-scores"),
-            ("score_order", "score-order"),
-        ):
-            view = plane.view(fingerprint, name)
-            if view is not None:
-                self.__dict__[attr] = view
-                attached = True
-        view = plane.view(fingerprint, "proxy-scores")
-        if view is not None:
-            object.__setattr__(self, "proxy_scores", view)
-            attached = True
-        cache = self.__dict__.setdefault("_weight_cache", {})
-        for key in list(cache):
-            view = plane.view(fingerprint, self._weight_stat_name(key))
-            if view is not None:
-                cache[key] = view
-                attached = True
-        from ..core.zonemap import ScoreZoneMap
-
-        zone_map = ScoreZoneMap.attach(plane, fingerprint)
-        if zone_map is not None:
-            self.__dict__["zone_map"] = zone_map
-            attached = True
-        if attached:
-            plane.register_dataset(self)
-        return attached
+        statistics = [self.sorted_scores, self.score_order, self.proxy_scores]
+        statistics.extend(self.__dict__.get("_weight_cache", {}).values())
+        self.zone_map  # built, or loaded from its sidecar, in the parent
+        return sum(isinstance(array, np.memmap) for array in statistics)
 
     def select_above(self, tau: float) -> np.ndarray:
         """Indices of ``D(tau) = {x : A(x) >= tau}``, ascending.

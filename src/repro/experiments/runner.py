@@ -22,10 +22,12 @@ fan-out shapes are available:
 Seed assignment is identical to the sequential path and workers return
 :class:`TrialRecord` objects in trial order, so parallel results are
 bit-for-bit identical to ``n_jobs=1`` — the determinism tests pin
-this.  Pools use the ``fork`` start method (selector factories are
-closures, which ``spawn`` cannot pickle; forked workers inherit them);
-on platforms without ``fork`` the runner transparently falls back to
-the sequential path.
+this.  Every shape runs through :func:`~repro.core.planning.fan_out`:
+``fork`` workers (selector factories are closures, which ``spawn``
+cannot pickle; forked workers inherit them), and a chunk or cell whose
+worker dies is re-run in the parent with a ``RuntimeWarning``.  On
+platforms without ``fork`` the runner transparently falls back to the
+sequential path.
 
 Sample reuse
 ------------
@@ -55,19 +57,14 @@ re-label the same keys.
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Mapping, Sequence
 
 from ..core.base import Selector
 from ..core.pipeline import ExecutionContext, SampleStore
-from ..core.planning import effective_workers, plan_executions, resolve_n_jobs
-from ..core.shm import SharedArrayPlane
+from ..core.planning import effective_workers, fan_out, plan_executions, resolve_n_jobs
 from ..core.types import ApproxQuery
 from ..datasets import Dataset
-from ..faults import maybe_kill_worker
 from ..metrics import evaluate_selection
 from .results import MethodSummary, TrialRecord, quality_of, summarize_trials
 
@@ -111,31 +108,6 @@ def _run_single_trial(
         result_size=quality.size,
         seed=base_seed + trial,
     )
-
-
-# Worker-process state, installed by the pool initializers.  Factories
-# and datasets travel to workers by fork inheritance (initargs are not
-# pickled under the fork start method), which is what allows lambda
-# factories and keeps large datasets from being serialized per task.
-_WORKER_STATE: dict[str, tuple] = {}
-
-
-def _init_trial_worker(
-    factory: SelectorFactory,
-    dataset: Dataset,
-    base_seed: int,
-    method_name: str | None,
-) -> None:
-    _WORKER_STATE["spec"] = (factory, dataset, base_seed, method_name)
-
-
-def _run_trial_chunk(trials: Sequence[int]) -> list[TrialRecord]:
-    maybe_kill_worker(trials)  # chaos seam; no-op unless a fault plan is active
-    factory, dataset, base_seed, method_name = _WORKER_STATE["spec"]
-    return [
-        _run_single_trial(factory, dataset, base_seed, method_name, t)
-        for t in trials
-    ]
 
 
 #: The warn-once tag every runner fan-out hands to
@@ -228,43 +200,19 @@ def _chunk_trials(trials: int, jobs: int) -> list[list[int]]:
     ]
 
 
-def _map_chunks_with_recovery(
-    chunks: Sequence[Sequence[int]],
-    worker_fn: Callable,
-    initializer: Callable,
-    initargs: tuple,
-    recover_fn: Callable,
+def _fan_out(
+    tasks: Sequence[Sequence[int]],
+    run: Callable[[Sequence[int]], object],
+    jobs: int,
     what: str,
+    unit: str = "trial chunk",
 ) -> list:
-    """Fan chunks across a fork pool, surviving worker death.
-
-    ``ProcessPoolExecutor`` (rather than ``multiprocessing.Pool``, which
-    hangs forever when a worker is killed) reports a dead worker as
-    :class:`BrokenProcessPool` on the affected futures; chunks whose
-    future completed keep their results, and the broken ones are re-run
-    in the parent via ``recover_fn`` — every trial is seeded, so the
-    re-run is bit-identical to what the dead worker would have produced.
-    """
-    ctx = multiprocessing.get_context("fork")
-    results: list = [None] * len(chunks)
-    broken: list[int] = []
-    with ProcessPoolExecutor(
-        max_workers=len(chunks),
-        mp_context=ctx,
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
-        futures = [(i, pool.submit(worker_fn, chunk)) for i, chunk in enumerate(chunks)]
-        for i, future in futures:
-            try:
-                results[i] = future.result()
-            except BrokenProcessPool:
-                broken.append(i)
-    for i in broken:
-        results[i] = recover_fn(chunks[i])
-    if broken:
+    """:func:`~repro.core.planning.fan_out`, warning when a task had to
+    be recovered in the parent after its worker died."""
+    results, recovered = fan_out(tasks, run, jobs)
+    if recovered:
         warnings.warn(
-            f"{what} recovered {len(broken)} trial chunk(s) in the parent after "
+            f"{what} recovered {len(recovered)} {unit}(s) in the parent after "
             "a worker process died; results are unaffected",
             RuntimeWarning,
             stacklevel=3,
@@ -280,17 +228,14 @@ def _run_trials_parallel(
     method_name: str | None,
     jobs: int,
 ) -> list[TrialRecord]:
-    """Fan seed-chunks across a fork pool; record order matches sequential."""
-    chunks = _chunk_trials(trials, jobs)
-    chunk_records = _map_chunks_with_recovery(
-        chunks,
-        _run_trial_chunk,
-        _init_trial_worker,
-        (factory, dataset, base_seed, method_name),
+    """Fan seed-chunks across fork workers; record order matches sequential."""
+    chunk_records = _fan_out(
+        _chunk_trials(trials, jobs),
         lambda chunk: [
             _run_single_trial(factory, dataset, base_seed, method_name, t)
             for t in chunk
         ],
+        jobs,
         "run_trials",
     )
     return [record for chunk in chunk_records for record in chunk]
@@ -377,23 +322,6 @@ def _panel_chunk_records(
     return per_slot
 
 
-def _init_panel_worker(
-    slots: Sequence[PanelSlot],
-    dataset: Dataset,
-    base_seed: int,
-    share_samples: bool,
-    store_dir: str | None,
-) -> None:
-    _WORKER_STATE["panel"] = (slots, dataset, base_seed, share_samples, store_dir)
-
-
-def _run_panel_chunk(trials: Sequence[int]) -> list[list[TrialRecord]]:
-    maybe_kill_worker(trials)  # chaos seam; no-op unless a fault plan is active
-    slots, dataset, base_seed, share_samples, store_dir = _WORKER_STATE["panel"]
-    context = _make_context(store_dir) if share_samples else None
-    return _panel_chunk_records(slots, dataset, trials, base_seed, context)
-
-
 def _run_panel(
     slots: Sequence[PanelSlot],
     dataset: Dataset,
@@ -416,30 +344,21 @@ def _run_panel(
     if jobs > 1:
         if store_dir is not None and share_samples:
             _prewarm_store_dir(slots, dataset, trials, base_seed, store_dir)
-        # Publish the dataset's statistics (computed by the prewarm
-        # above, or right here) into a shared-array plane before the
-        # workers fork, so every chunk reads the same shared pages
-        # instead of dirtying copy-on-write ones.
-        plane = SharedArrayPlane(directory=store_dir)
-        dataset.publish(plane)
-        try:
-            chunks = _chunk_trials(trials, jobs)
-            chunk_results = _map_chunks_with_recovery(
-                chunks,
-                _run_panel_chunk,
-                _init_panel_worker,
-                (tuple(slots), dataset, base_seed, share_samples, store_dir),
-                lambda chunk: _panel_chunk_records(
-                    slots,
-                    dataset,
-                    chunk,
-                    base_seed,
-                    _make_context(store_dir) if share_samples else None,
-                ),
-                what,
-            )
-        finally:
-            plane.close()
+        # Compute the dataset's statistics once, before the workers
+        # fork, so every chunk inherits them instead of rebuilding them.
+        dataset.warm_statistics()
+        chunk_results = _fan_out(
+            _chunk_trials(trials, jobs),
+            lambda chunk: _panel_chunk_records(
+                slots,
+                dataset,
+                chunk,
+                base_seed,
+                _make_context(store_dir) if share_samples else None,
+            ),
+            jobs,
+            what,
+        )
         return [
             [record for chunk in chunk_results for record in chunk[slot]]
             for slot in range(len(slots))
@@ -604,15 +523,6 @@ def _prewarm_cells(cell_list: Sequence[Mapping[str, object]]) -> None:
         )
 
 
-def _init_cell_worker(cells: Sequence[Mapping[str, object]]) -> None:
-    _WORKER_STATE["cells"] = (tuple(cells),)
-
-
-def _run_cell(index: int):
-    (cells,) = _WORKER_STATE["cells"]
-    return _run_cell_spec(cells[index])
-
-
 def run_sweep_cells(
     cells: Sequence[Mapping[str, object]],
     n_jobs: int | None = 1,
@@ -659,11 +569,13 @@ def run_sweep_cells(
     _reject_context_with_parallelism(context, jobs, "run_sweep_cells")
     if jobs > 1:
         _prewarm_cells(cell_list)
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=jobs,
-            initializer=_init_cell_worker,
-            initargs=(cell_list,),
-        ) as pool:
-            return pool.map(_run_cell, range(len(cell_list)))
+        # One task per cell, named by its index so the chaos seam can
+        # target a cell; a cell whose worker dies re-runs in the parent.
+        return _fan_out(
+            [[index] for index in range(len(cell_list))],
+            lambda task: _run_cell_spec(cell_list[task[0]]),
+            jobs,
+            "run_sweep_cells",
+            "sweep cell",
+        )
     return [_run_cell_spec(cell, context=context) for cell in cell_list]

@@ -27,10 +27,13 @@ every statement is parsed and compiled, a
 seed), and each distinct design is pre-drawn exactly once — spilled to
 the disk tier when the engine has a ``store_dir`` — *before* any
 query executes or any worker forks.  Independent groups then fan
-across ``jobs`` worker processes (fork inheritance hands every worker
-the warm store), and results return in statement order, bit-identical
-to a sequential ``execute()`` loop.  :meth:`SupgEngine.plan` exposes
-the same dedup plan without executing anything.
+across ``jobs`` worker processes through
+:func:`~repro.core.planning.fan_out` (fork inheritance hands every
+worker the warm store and the datasets' statistics; results come back
+pickled over the pool pipe), and results return in statement order,
+bit-identical to a sequential ``execute()`` loop.
+:meth:`SupgEngine.plan` exposes the same dedup plan without executing
+anything.
 
 Two situations run through the same staged path but never touch the
 store: oracle UDFs (labels then come from user code whose identity the
@@ -41,10 +44,7 @@ unbudgeted oracle whose accounting is inherently per-query.
 
 from __future__ import annotations
 
-import multiprocessing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -56,10 +56,10 @@ from ..core.pipeline import ExecutionContext, SampleStore
 from ..core.planning import (
     QueryPlan,
     effective_workers,
+    fan_out,
     plan_executions,
 )
 from ..core.registry import default_selector, make_selector
-from ..core.shm import PlaneIntegrityError, SharedArrayPlane
 from ..core.stats_backend import (
     DEFAULT_CHUNK_RECORDS,
     DiskBackend,
@@ -68,7 +68,7 @@ from ..core.stats_backend import (
 )
 from ..core.types import SelectionResult
 from ..datasets import Dataset
-from ..faults import maybe_kill_worker, wrap_label_fn
+from ..faults import wrap_label_fn
 from ..oracle import BudgetedOracle
 from ..oracle.retry import RetryPolicy, RetryingOracle
 from .ast import ParsedQuery, QueryKind
@@ -134,36 +134,6 @@ class _CompiledQuery:
         )
 
 
-# Worker-process state for the batch fan-out, installed by the pool
-# initializer.  Compiled queries, the warm context, and the shared-array
-# plane travel to workers by fork inheritance (datasets, closures, the
-# pre-drawn sample store, and the plane's published views are shared
-# pages rather than pickled per task).
-_WORKER_STATE: dict[str, tuple] = {}
-
-
-def _init_batch_worker(
-    compiled: Sequence[_CompiledQuery],
-    context: ExecutionContext | None,
-    plane: SharedArrayPlane | None = None,
-    call_id: int = 0,
-) -> None:
-    _WORKER_STATE["batch"] = (tuple(compiled), context, plane, call_id)
-
-
-def _run_batch(indices: Sequence[int]):
-    maybe_kill_worker(indices)  # chaos seam; no-op unless a fault plan is active
-    compiled, context, plane, call_id = _WORKER_STATE["batch"]
-    pairs = [(index, compiled[index].run(context)) for index in indices]
-    if plane is None:
-        return pairs
-    return plane.encode_batch(
-        call_id,
-        indices[0],
-        ((index, result, compiled[index].dataset.size) for index, result in pairs),
-    )
-
-
 class SupgEngine:
     """Registry of tables and UDFs plus a session-scoped query executor.
 
@@ -186,13 +156,11 @@ class SupgEngine:
             ``context`` for the same reason as ``store_dir``; construct
             the context's store with ``SampleStore(retry_policy=...)``
             instead.
-        data_plane: how parallel fan-outs share arrays with workers —
-            ``"shm"`` (POSIX shared memory), ``"mmap"`` (files under
-            the store directory), or ``"pickle"`` (the plane is
-            disabled; results ride the pool pipe).  ``None`` uses the
-            ambient :func:`repro.core.shm.default_mode` (the CLI's
-            ``--data-plane``).  Results are bit-identical in every
-            mode.
+        data_plane: deprecated and ignored; setting it has no effect
+            beyond a :class:`DeprecationWarning`.  Fork workers read
+            in-memory statistics through copy-on-write pages and disk
+            statistics through inherited memmaps, so there is no
+            separate data plane to choose.
         backend: where each registered dataset's derived statistics
             live — ``"memory"`` (RAM ndarrays, the default),
             ``"disk"`` (fingerprint-keyed ``.npy`` files under the
@@ -249,13 +217,16 @@ class SupgEngine:
                 store=SampleStore(store_dir=store_dir, retry_policy=retry_policy)
             )
         self._context = context
+        if data_plane is not None:
+            warnings.warn(
+                "SupgEngine(data_plane=...) is deprecated and has no effect",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         self._stats_backend = self._make_backend(backend, chunk_records)
-        self._data_plane = data_plane
-        self._plane: SharedArrayPlane | None = None
-        self._plane_calls = 0
-        self._retired_transfer = {"bytes_shipped": 0, "bytes_shm": 0, "stats_inherited": 0}
-        # Concurrent service windows share one engine: plane lifecycle,
-        # call-id allocation, transfer accounting, and the derived-
+        self._transfer = {"bytes_shipped": 0, "stats_inherited": 0}
+        # Concurrent service windows share one engine: pre-fork
+        # statistics warm-up, transfer accounting, and the derived-
         # dataset cache are the mutable session state they race on.
         self._lock = ForkSafeLock()
 
@@ -338,7 +309,7 @@ class SupgEngine:
         return self._context
 
     def session_stats(self) -> Mapping[str, int]:
-        """Sample-store reuse counters, data-plane byte accounting,
+        """Sample-store reuse counters, fan-out transfer accounting,
         zone-map skipping telemetry, and statistics-backend counters."""
         stats = dict(self._context.stats())
         stats.update(self.transfer_stats())
@@ -411,50 +382,19 @@ class SupgEngine:
         dataset.prime_zone_map(store_dir)
 
     def transfer_stats(self) -> Mapping[str, int]:
-        """Result-transfer byte counters for this engine session.
+        """Fan-out counters for this engine session.
 
-        ``bytes_shipped`` counts index-array bytes that rode the worker
-        pipe inline; ``bytes_shm`` counts bytes moved through shm
-        segments / mmap spills instead.  Totals persist across plane
-        releases.
+        ``bytes_shipped`` sums the index-array bytes of the results fork
+        workers returned over the pool pipe; ``stats_inherited`` counts,
+        per fan-out, the file-backed (memmap) statistics of the batch's
+        datasets that workers inherited instead of rebuilding.
         """
         with self._lock:
-            totals = dict(self._retired_transfer)
-            if self._plane is not None:
-                for key, value in self._plane.counters().items():
-                    totals[key] = totals.get(key, 0) + value
-            return totals
-
-    def _ensure_plane(self) -> SharedArrayPlane:
-        """The session's shared-array plane, (re)created on demand."""
-        with self._lock:
-            if self._plane is not None and self._plane.closed:
-                self.release_plane()
-            if self._plane is None:
-                store_dir = self._context.store.store_dir
-                self._plane = SharedArrayPlane(
-                    mode=self._data_plane, directory=store_dir
-                )
-            return self._plane
-
-    def release_plane(self) -> None:
-        """Release the shared-array plane (segments, spill files).
-
-        Published datasets revert to locally owned statistics and the
-        byte counters fold into :meth:`transfer_stats`; the next
-        parallel batch simply builds a fresh plane.  Idempotent.
-        """
-        with self._lock:
-            if self._plane is None:
-                return
-            for key, value in self._plane.counters().items():
-                self._retired_transfer[key] = self._retired_transfer.get(key, 0) + value
-            self._plane.close()
-            self._plane = None
+            return dict(self._transfer)
 
     def close(self) -> None:
-        """Release session resources; the engine stays usable."""
-        self.release_plane()
+        """No-op, kept for callers that close sessions: the engine holds
+        no resource that outlives it."""
 
     def reset_session(self) -> None:
         """Drop cached samples and derived datasets (registrations stay)."""
@@ -708,29 +648,17 @@ class SupgEngine:
         context: ExecutionContext | None,
         workers: int,
     ) -> tuple[list[SelectionResult], list[list[int]]]:
-        """Fan the plan's independent batches across a fork pool.
+        """Fan the plan's independent batches across fork workers.
 
-        Before forking, every distinct dataset in the batch is
-        published into the session's shared-array plane, so workers
-        read the big statistics (proxy scores, sorted scores,
-        importance weights) from genuinely shared pages; a group's
-        statements stay together so any residual lazy draw (e.g. an
-        oracle-UDF statement) happens once on one worker.  Workers
-        return results through the plane's spill-or-shm transfer
-        (:meth:`~repro.core.shm.SharedArrayPlane.encode_batch`): small
-        batches ride the pipe, large index arrays come back through a
-        segment the parent decodes and releases.
-
-        Built on :class:`~concurrent.futures.ProcessPoolExecutor`
-        rather than ``multiprocessing.Pool`` because a worker that dies
-        mid-batch (OOM kill, segfault, chaos injection) must *surface*
-        — the executor raises ``BrokenProcessPool`` where a plain pool
-        would hang ``map()`` forever.  Batches lost to a dead worker —
-        or whose transfer cannot be decoded (the corrupt spill is
-        quarantined) — are re-executed sequentially in the parent from
-        the already pre-warmed store, so the recovered results are
-        bit-identical to an unfaulted run; any segment the dead worker
-        left behind is reclaimed by its deterministic name.
+        Before forking, every distinct dataset in the batch computes the
+        statistics workers read (:meth:`Dataset.warm_statistics`), so
+        each worker inherits one copy instead of rebuilding it; a
+        group's statements stay together so any residual lazy draw
+        (e.g. an oracle-UDF statement) happens once on one worker.
+        Batches lost to a dead worker are re-executed in the parent by
+        :func:`~repro.core.planning.fan_out` from the already pre-warmed
+        store, so the recovered results are bit-identical to an
+        unfaulted run.
 
         Returns:
             ``(results, recovered_batches)`` — results in statement
@@ -738,57 +666,28 @@ class SupgEngine:
             be re-executed after a worker death.
         """
         batches = plan.batches()
-        # One critical section covers plane acquisition, call-id
-        # allocation, and dataset publication: a concurrent window must
-        # not release/rebuild the plane between this window taking a
-        # reference and forking its pool, and publish() mutates each
-        # dataset's plane handles.
+        datasets = {id(job.dataset): job.dataset for job in compiled}
         with self._lock:
-            plane = self._ensure_plane()
-            call_id = self._plane_calls
-            self._plane_calls += 1
-            datasets: dict[int, Dataset] = {}
-            for job in compiled:
-                datasets.setdefault(id(job.dataset), job.dataset)
-            for dataset in datasets.values():
-                dataset.publish(plane)
-        fork = multiprocessing.get_context("fork")
+            inherited = sum(dataset.warm_statistics() for dataset in datasets.values())
+
+        def run_batch(batch: Sequence[int]) -> list[SelectionResult]:
+            return [compiled[index].run(context) for index in batch]
+
+        per_batch, recovered = fan_out(batches, run_batch, workers)
         results: list[SelectionResult | None] = [None] * len(compiled)
-        recovered: list[list[int]] = []
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(batches)),
-            mp_context=fork,
-            initializer=_init_batch_worker,
-            initargs=(tuple(compiled), context, plane, call_id),
-        ) as pool:
-            futures = [(pool.submit(_run_batch, batch), batch) for batch in batches]
-            for future, batch in futures:
-                try:
-                    payload = future.result()
-                except BrokenProcessPool:
-                    # The worker running this batch (or a pool-mate that
-                    # poisoned the executor) died; every unfinished
-                    # future fails the same way.  Collect them for
-                    # in-parent re-execution rather than failing the
-                    # whole batch call, and sweep any result segment
-                    # the worker created before dying.
-                    with self._lock:
-                        plane.reclaim(call_id, batch[0])
-                    recovered.append(batch)
-                    continue
-                try:
-                    with self._lock:
-                        decoded = list(plane.decode_batch(payload))
-                    for index, result in decoded:
-                        results[index] = result
-                except PlaneIntegrityError:
-                    # The transfer itself was damaged (quarantined
-                    # already); recover exactly like a dead worker.
-                    recovered.append(batch)
-        for batch in recovered:
-            for index in batch:
-                results[index] = compiled[index].run(context)
-        return results, recovered
+        for batch, batch_results in zip(batches, per_batch):
+            for index, result in zip(batch, batch_results):
+                results[index] = result
+        shipped = sum(
+            result.indices.nbytes + result.sampled_indices.nbytes
+            for position, batch_results in enumerate(per_batch)
+            if position not in recovered
+            for result in batch_results
+        )
+        with self._lock:
+            self._transfer["bytes_shipped"] += shipped
+            self._transfer["stats_inherited"] += inherited
+        return results, [batches[position] for position in recovered]
 
     # -- resolution helpers ---------------------------------------------------
 

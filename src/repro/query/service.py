@@ -87,9 +87,10 @@ rules, outermost first:
 - A prewarm draw that fails takes down only the executions that
   needed that draw; the window's other groups still warm and execute.
 - A fork worker that dies mid-window is detected
-  (``BrokenProcessPool``), and its groups are re-executed sequentially
-  in the parent from the already pre-drawn store — bit-identical
-  results, logged as ``recovered_groups``.
+  (``BrokenProcessPool``) by :func:`~repro.core.planning.fan_out`, the
+  recovery path every fork fan-out shares, and its groups are
+  re-executed sequentially in the parent from the already pre-drawn
+  store — bit-identical results, logged as ``recovered_groups``.
 - With ``window_deadline_s`` set, a window that hangs past the
   deadline is abandoned: its unfinished tickets fail with a
   :class:`QueryError` and the scheduler moves on.
@@ -744,11 +745,6 @@ class SupgService:
             )
         self._thread.join(timeout)
         if not self._thread.is_alive():
-            # No window can be in flight anymore: release the engine's
-            # shared-array plane so a stopped service leaves no shm
-            # segments or spill files behind.  (The engine stays
-            # usable — a later parallel batch rebuilds the plane.)
-            self.engine.release_plane()
             return
         with self._arrival:
             stuck = [s for subs in self._inflight.values() for s in subs]
@@ -783,8 +779,9 @@ class SupgService:
         (arrivals absorbed after the window closed), ``warm_draws``
         (groups already in the store before the window pre-drew),
         ``labels_drawn`` / ``labels_saved`` (store-counter deltas),
-        ``bytes_shipped`` / ``bytes_shm`` (result bytes that rode the
-        worker pipe vs the shared-memory plane), ``recovered_groups``
+        ``bytes_shipped`` (index bytes of the results fork workers
+        returned over the pool pipe), ``stats_inherited`` (file-backed
+        statistics the window's workers inherited), ``recovered_groups``
         (execution groups re-run sequentially after a fork worker
         died), ``window_seconds``, and ``closed_by`` (``"count"`` /
         ``"timeout"`` / ``"drain"``).  A window abandoned at its
@@ -1310,7 +1307,7 @@ class SupgService:
                     "labels_drawn": 0,
                     "labels_saved": 0,
                     "bytes_shipped": 0,
-                    "bytes_shm": 0,
+                    "stats_inherited": 0,
                     "recovered_groups": 0,
                     "window_seconds": time.perf_counter() - start,
                     "closed_by": closed_by,
@@ -1447,7 +1444,8 @@ class SupgService:
             "labels_saved": after["labels_saved"] - before["labels_saved"],
             "bytes_shipped": transfer_after["bytes_shipped"]
             - transfer_before["bytes_shipped"],
-            "bytes_shm": transfer_after["bytes_shm"] - transfer_before["bytes_shm"],
+            "stats_inherited": transfer_after["stats_inherited"]
+            - transfer_before["stats_inherited"],
             "recovered_groups": recovered_groups,
             "window_seconds": time.perf_counter() - start,
             "closed_by": closed_by,

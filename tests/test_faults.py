@@ -13,13 +13,17 @@ The contracts pinned here:
 3. :class:`FaultPlan` is reproducible — the same seed faults the same
    calls — and :func:`inject` is process-wide, nestable, and cleanly
    restored.
-4. Worker-death recovery: ``execute_many`` (engine) and ``run_trials``
-   (experiments) survive a hard-killed fork worker, re-execute only
-   the affected work in the parent, warn, and return bit-identical
-   results.
+4. Worker-death recovery: every fork fan-out — ``execute_many``
+   (engine), ``run_trials``, ``sweep``/``compare_methods`` panels and
+   ``run_sweep_cells`` (experiments) — survives a hard-killed worker,
+   re-executes only the affected work in the parent, warns, and
+   returns bit-identical results.  None of them may hang.
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from repro.core.pipeline import ExecutionContext, SampleStore
 from repro.core.planning import fork_available
 from repro.core import ApproxQuery, ImportanceCIRecall
 from repro.datasets import make_beta_dataset
-from repro.experiments import run_trials
+from repro.experiments import run_sweep_cells, run_trials, sweep
 from repro.faults import (
     FaultPlan,
     FaultyOracle,
@@ -272,38 +276,77 @@ class TestStoreRetryWiring:
         assert ExecutionContext(store=SampleStore()).retry_policy is None
 
 
+QUERY = ApproxQuery.recall_target(0.9, 0.05, 300)
+
+
+def _recall_factory(gamma):
+    return lambda: ImportanceCIRecall(QUERY.with_gamma(gamma))
+
+
+def _execute_many(workload, store_dir, jobs):
+    engine = SupgEngine(store_dir=str(store_dir))
+    engine.register_table("t", workload)
+    statements = [RT_SQL.format(gamma=g) for g in (80, 85, 90, 95)]
+    return [
+        (e.method, e.result.indices.tobytes(), e.result.tau, e.result.oracle_calls)
+        for e in engine.execute_many(statements, seed=0, jobs=jobs)
+    ]
+
+
+def _run_trials(workload, store_dir, jobs):
+    return run_trials(_recall_factory(0.9), workload, trials=4, n_jobs=jobs).records
+
+
+def _sweep(workload, store_dir, jobs):
+    summaries = sweep(_recall_factory, (0.8, 0.9), workload, trials=4, n_jobs=jobs)
+    return [summary.records for summary in summaries]
+
+
+def _run_sweep_cells(workload, store_dir, jobs):
+    cells = [
+        dict(factory_for_gamma=_recall_factory, gammas=(0.8, 0.9), dataset=workload,
+             trials=2, base_seed=base_seed)
+        for base_seed in (0, 10)
+    ]
+    return [
+        [summary.records for summary in summaries]
+        for summaries in run_sweep_cells(cells, n_jobs=jobs)
+    ]
+
+
+#: Fan-out → (runner, execution index whose worker the fault plan kills).
+FAN_OUTS = {
+    "execute_many": (_execute_many, 1),
+    "run_trials": (_run_trials, 0),
+    "sweep": (_sweep, 0),
+    "run_sweep_cells": (_run_sweep_cells, 1),
+}
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, rather than hang, when a fan-out never returns."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"fan-out still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.skipif(not fork_available(), reason="requires the fork start method")
 class TestWorkerDeathRecovery:
-    def test_execute_many_recovers_bit_identically(self, workload, tmp_path):
-        statements = [RT_SQL.format(gamma=g) for g in (80, 85, 90, 95)]
-
-        sequential = SupgEngine(store_dir=str(tmp_path / "seq"))
-        sequential.register_table("t", workload)
-        expected = sequential.execute_many(statements, seed=0, jobs=1)
-
-        engine = SupgEngine(store_dir=str(tmp_path / "par"))
-        engine.register_table("t", workload)
-        with inject(FaultPlan(kill_execution=1)) as plan:
+    @pytest.mark.parametrize("fan_out", list(FAN_OUTS))
+    def test_fan_out_recovers_bit_identically(self, fan_out, workload, tmp_path):
+        run, kill_execution = FAN_OUTS[fan_out]
+        expected = run(workload, tmp_path / "sequential", 1)
+        with _deadline(60), inject(FaultPlan(kill_execution=kill_execution)) as plan:
             with pytest.warns(RuntimeWarning, match="recovered"):
-                executions = engine.execute_many(statements, seed=0, jobs=2)
+                recovered = run(workload, tmp_path / "parallel", 2)
             assert plan.worker_killed
-        for got, want in zip(executions, expected):
-            assert got.method == want.method
-            np.testing.assert_array_equal(got.result.indices, want.result.indices)
-            assert got.result.tau == want.result.tau
-            assert got.result.oracle_calls == want.result.oracle_calls
-
-    def test_run_trials_recovers_bit_identically(self, workload):
-        query = ApproxQuery.recall_target(0.9, 0.05, 300)
-        factory = lambda: ImportanceCIRecall(query)  # noqa: E731
-        expected = run_trials(factory, workload, trials=4, n_jobs=1)
-        with inject(FaultPlan(kill_execution=0)) as plan:
-            with pytest.warns(RuntimeWarning, match="recovered"):
-                recovered = run_trials(factory, workload, trials=4, n_jobs=2)
-            assert plan.worker_killed
-        assert [r.target_metric for r in recovered.records] == [
-            r.target_metric for r in expected.records
-        ]
-        assert [r.oracle_calls for r in recovered.records] == [
-            r.oracle_calls for r in expected.records
-        ]
+        assert recovered == expected

@@ -175,3 +175,15 @@ class TestSession:
         engine.execute(RT_SQL, seed=0)
         engine.reset_session()
         assert engine.session_stats()["entries"] == 0
+
+    def test_data_plane_keyword_is_deprecated_and_ignored(self, beta_dataset):
+        with pytest.warns(DeprecationWarning, match="data_plane"):
+            legacy = SupgEngine(data_plane="mmap")
+        legacy.register_table("video", beta_dataset)
+        plain = SupgEngine()
+        plain.register_table("video", beta_dataset)
+        got = legacy.execute(RT_SQL, seed=3).result
+        want = plain.execute(RT_SQL, seed=3).result
+        np.testing.assert_array_equal(got.indices, want.indices)
+        legacy.close()  # a no-op; the engine stays usable
+        assert legacy.execute(RT_SQL, seed=3).result.tau == want.tau

@@ -24,7 +24,6 @@ from repro.core.stats_backend import (
     weight_stat_name,
 )
 from repro.core.pipeline import SampleStore
-from repro.core.shm import SharedArrayPlane
 from repro.core.zonemap import MIN_INDEXED_SIZE
 from repro.datasets import Dataset, make_beta_dataset
 from repro.faults import FaultPlan, corrupt_statistic, inject
@@ -302,13 +301,21 @@ class TestEngineIntegration:
         sequential_engine.register_table("t", make_dataset(size=60000))
         sequential = sequential_engine.execute_many(batch, seed=7, jobs=1)
         parallel_engine = SupgEngine(store_dir=str(tmp_path / "b"), backend="disk")
-        parallel_engine.register_table("t", make_dataset(size=60000))
+        data = make_dataset(size=60000)
+        parallel_engine.register_table("t", data)
         parallel = parallel_engine.execute_many(batch, seed=7, jobs=2)
         for a, b in zip(sequential, parallel):
             assert a.result.indices.tobytes() == b.result.indices.tobytes()
             assert a.result.indices.dtype == b.result.indices.dtype
             assert a.result.tau == b.result.tau
             assert a.result.oracle_calls == b.result.oracle_calls
+        # Workers inherited the disk statistics as memmaps (nothing was
+        # copied into RAM in the parent) and shipped results back.
+        stats = parallel_engine.session_stats()
+        assert stats["stats_inherited"] > 0
+        assert stats["bytes_shipped"] > 0
+        assert isinstance(data.sorted_scores, np.memmap)
+        assert isinstance(data.score_order, np.memmap)
 
     def test_lazy_priming_zero_redundant_sorts(self, tmp_path):
         """The latent-issue fix: a warm store costs zero sorts.
@@ -347,32 +354,6 @@ class TestEngineIntegration:
         ):
             assert key in stats
         assert stats["bytes_paged"] > 0
-
-
-# ----------------------------------------------------------------------
-# Shared-array plane: publish collapses into the disk backend.
-# ----------------------------------------------------------------------
-
-
-class TestPlaneInheritsDiskStatistics:
-    def test_share_hands_back_memmap_without_copy(self, tmp_path):
-        data = make_dataset()
-        data.use_backend(DiskBackend(tmp_path / "store", chunk_records=8192))
-        before = data.sorted_scores
-        assert isinstance(before, np.memmap)
-        plane = SharedArrayPlane(mode="mmap", directory=tmp_path / "plane")
-        try:
-            data.publish(plane)
-            # Publish was "hand workers the file paths": the cached view
-            # is the very same memmap object, nothing was copied.
-            assert data.sorted_scores is before
-            assert plane.counters()["stats_inherited"] > 0
-            assert plane.counters()["bytes_shm"] == 0
-        finally:
-            plane.close()
-        # Plane close must not have materialized the statistic into RAM.
-        assert isinstance(data.sorted_scores, np.memmap)
-        assert data.sorted_scores.tobytes() == np.sort(data.proxy_scores).tobytes()
 
 
 # ----------------------------------------------------------------------

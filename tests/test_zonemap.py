@@ -2,30 +2,23 @@
 
 The index is a pure performance structure: every test here ultimately
 pins the same contract — indexed lookups are byte-identical to the
-dense O(n) passes they replace — plus the lifecycle around it (plane
-publish/attach, sidecar persistence, engine telemetry).
+dense O(n) passes they replace — plus the lifecycle around it (sidecar
+persistence, engine telemetry, fork workers under ``jobs > 1``).
 """
-
-import glob
-import os
 
 import numpy as np
 import pytest
 
-from repro.core.shm import SharedArrayPlane
 from repro.core.thresholds import SELECT_EVERYTHING, SELECT_NOTHING
 from repro.core.zonemap import (
     DEFAULT_STRATUM_SIZE,
     MIN_INDEXED_SIZE,
     SIDECAR_FORMAT_VERSION,
-    ZONEMAP_SEGMENT_PREFIX,
     ScoreZoneMap,
     SkipEstimate,
 )
 from repro.datasets import Dataset, make_beta_dataset
 from repro.query import SupgEngine
-
-HAS_DEV_SHM = os.path.isdir("/dev/shm")
 
 RT = (
     "SELECT * FROM t WHERE P(x) = True ORACLE LIMIT 400 USING A(x) "
@@ -228,48 +221,6 @@ class TestSidecar:
 
     def test_entries_missing_dir(self, tmp_path):
         assert ScoreZoneMap.sidecar_entries(tmp_path / "absent") == []
-
-
-@pytest.mark.skipif(not HAS_DEV_SHM, reason="needs /dev/shm")
-class TestPlaneInteraction:
-    def test_publish_attach_identical_and_clean(self, dataset):
-        plane = SharedArrayPlane(mode="shm")
-        built = ScoreZoneMap.build(dataset.sorted_scores)
-        original = {
-            name: np.array(getattr(built, name))
-            for name in ("offsets", "lows", "highs", "score_mass")
-        }
-        try:
-            built.publish(plane, dataset.fingerprint)
-            segments = glob.glob(f"/dev/shm/{ZONEMAP_SEGMENT_PREFIX}-{plane.uid.split('-', 2)[-1]}*")
-            assert len(segments) == 4
-            attached = ScoreZoneMap.attach(plane, dataset.fingerprint)
-            assert attached is not None
-            for name, want in original.items():
-                np.testing.assert_array_equal(getattr(attached, name), want)
-        finally:
-            plane.close()
-        leftovers = glob.glob(f"/dev/shm/{ZONEMAP_SEGMENT_PREFIX}-*")
-        assert not any(plane.uid.split("-", 2)[-1] in leak for leak in leftovers)
-
-    def test_attach_without_publish_is_none(self, dataset):
-        plane = SharedArrayPlane(mode="shm")
-        try:
-            assert ScoreZoneMap.attach(plane, dataset.fingerprint) is None
-        finally:
-            plane.close()
-
-    def test_detach_keeps_dataset_usable(self, dataset):
-        # Close the plane mid-session: the detach pass must localize the
-        # published index arrays so later selections still work.
-        data = make_beta_dataset(0.01, 1.0, size=MIN_INDEXED_SIZE, seed=5)
-        plane = SharedArrayPlane(mode="shm")
-        data.publish(plane)
-        plane.close()
-        tau = 0.9
-        np.testing.assert_array_equal(
-            data.select_above(tau), np.flatnonzero(data.proxy_scores >= tau)
-        )
 
 
 class TestEngineTelemetry:
