@@ -1,0 +1,146 @@
+#!/usr/bin/env python
+"""A/B gate: the repository benchmark on a base checkout against a head checkout.
+
+Usage::
+
+    python3 scripts/perf_ab.py BASE HEAD
+
+BASE and HEAD are two checkouts of this repository, for example a
+``git worktree`` at the merge base and ``.``.  Both sides run the
+*base's* ``perfbench/run.py`` and ``BENCHMARK.json``: ``run.py`` imports
+the program from ``src/`` under its working directory, so each run
+starts in its own side's checkout, and a change cannot loosen its own
+gate.
+
+For every workload the script runs ``PAIRS`` pairs of untraced runs of
+``run_seconds`` each.  Both runs of a pair take the pair number as
+their seed, and the side that runs first alternates from pair to pair.
+It prints one row per workload and end-to-end metric with both
+medians, the change and the bound, and exits 1 when
+
+- any run exits non-zero;
+- any run reports ``correct: false`` or ``failed > 0``;
+- the head's median is worse than the base's by more than the metric's
+  ``bound``, in the metric's ``better`` direction.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+PAIRS = 3
+
+
+def run_once(command: list[str], checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict:
+    """One untraced benchmark run in ``checkout``: its exit code and,
+    when it exits 0, the JSON object on its last line of output."""
+    out = subprocess.run(
+        [*command, "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if out.returncode != 0:
+        print(out.stdout + out.stderr, file=sys.stderr)
+        return {"returncode": out.returncode}
+    return {"returncode": 0, **json.loads(out.stdout.strip().splitlines()[-1])}
+
+
+def run_problems(workload: str, side: str, runs: list[dict]) -> list[str]:
+    """Runs that exited non-zero, or reported a wrong or failed statement."""
+    problems = []
+    for number, record in enumerate(runs, start=1):
+        if record["returncode"] != 0:
+            problems.append(f"{workload}: {side} run {number} exited {record['returncode']}")
+        elif not record["correct"] or record["failed"] > 0:
+            problems.append(
+                f"{workload}: {side} run {number} reported correct "
+                f"{record['correct']} with {record['failed']} failed"
+            )
+    return problems
+
+
+def median_of(runs: list[dict], metric: str) -> float | None:
+    values = [record["metrics"][metric]["value"] for record in runs if record["returncode"] == 0]
+    return statistics.median(values) if values else None
+
+
+def relative_change(base: float, head: float) -> float:
+    if base == 0:
+        return 0.0 if head == 0 else math.copysign(math.inf, head)
+    return (head - base) / abs(base)
+
+
+def verdict(end_to_end: list[dict], workload: str, base: list[dict],
+            head: list[dict]) -> tuple[list[list[str]], list[str]]:
+    """Table rows and failure reasons for one workload's base and head runs.
+
+    ``end_to_end`` is the ``BENCHMARK.json`` list of metrics, each with a
+    ``name``, ``unit``, ``better`` (``lower`` or ``higher``) and
+    ``bound``, the largest relative worsening that still passes.
+    """
+    problems = run_problems(workload, "base", base) + run_problems(workload, "head", head)
+    rows = []
+    for metric in end_to_end:
+        name, bound = metric["name"], metric["bound"]
+        base_median, head_median = median_of(base, name), median_of(head, name)
+        if base_median is None or head_median is None:
+            rows.append([workload, name, "n/a", "n/a", "n/a", f"{bound:.0%}", "no runs"])
+            continue
+        change = relative_change(base_median, head_median)
+        worse = change if metric["better"] == "lower" else -change
+        status = "ok"
+        if worse > bound:
+            status = "WORSE"
+            problems.append(
+                f"{workload}: {name} {head_median:.4g} {metric['unit']} against "
+                f"{base_median:.4g}, {change:+.1%} (bound {bound:.0%})"
+            )
+        rows.append([
+            workload, name, f"{base_median:.4g} {metric['unit']}",
+            f"{head_median:.4g} {metric['unit']}", f"{change:+.1%}", f"{bound:.0%}", status,
+        ])
+    return rows, problems
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        sys.exit("usage: python3 scripts/perf_ab.py BASE HEAD")
+    checkouts = {"base": Path(argv[0]).resolve(), "head": Path(argv[1]).resolve()}
+    spec = json.loads((checkouts["base"] / "BENCHMARK.json").read_text())
+    # The base's benchmark files, named by absolute path so that every
+    # run can start in its own side's checkout.
+    command = [
+        str(checkouts["base"] / part) if (checkouts["base"] / part).is_file() else part
+        for part in spec["command"]
+    ]
+    seconds = spec["run_seconds"]
+    rows, problems = [], []
+    for workload in (entry["name"] for entry in spec["workloads"]):
+        runs: dict[str, list[dict]] = {"base": [], "head": []}
+        for pair in range(1, PAIRS + 1):
+            order = ("base", "head") if pair % 2 else ("head", "base")
+            for side in order:
+                record = run_once(command, checkouts[side], workload, pair, seconds)
+                runs[side].append(record)
+                print(f"{workload}: seed {pair} {side} exited {record['returncode']}", flush=True)
+        workload_rows, workload_problems = verdict(
+            spec["end_to_end"], workload, runs["base"], runs["head"]
+        )
+        rows.extend(workload_rows)
+        problems.extend(workload_problems)
+    header = ["workload", "metric", "base median", "head median", "change", "bound", "verdict"]
+    for row in [header, ["---"] * len(header), *rows]:
+        print("| " + " | ".join(row) + " |")
+    for problem in problems:
+        print(f"FAILED {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -52,9 +52,12 @@ selector runs, and three layers keep it fast:
   the ``fork`` start method the runner falls back to sequential
   execution.
 
-``scripts/perf_smoke.py`` records selector throughput to
-``BENCH_PR1.json``; ``pytest -m perf benchmarks/`` runs the
-microbenchmarks (excluded from the default test run).
+``perfbench/run.py`` is the repository benchmark: four workloads run
+end to end against one engine's sequential ``execute()`` loop, with
+every result checked against ground truth.  ``scripts/perf_ab.py BASE
+HEAD`` runs it on two checkouts in alternating pairs and fails when the
+head is worse than the base by more than a metric's bound in
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations

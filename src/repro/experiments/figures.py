@@ -634,9 +634,7 @@ def figure13_panel(query: ApproxQuery) -> dict[str, object]:
     Seven methods over two sampling designs — U-CI-R under the normal,
     Clopper-Pearson, bootstrap, and Hoeffding bounds, and IS-CI-R
     under all but Clopper-Pearson (which applies only to uniform
-    samples).  Shared by :func:`figure13`, the perf-smoke fig13-cell
-    benchmark, and the panel microbenchmarks, so every consumer
-    measures the same workload.
+    samples).  This is the panel :func:`figure13` runs.
     """
     uniform_bounds = {
         "normal": NormalBound(),

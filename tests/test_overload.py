@@ -19,16 +19,21 @@ The contracts pinned here:
 5. Concurrent windows over disjoint (table, seed) groups genuinely
    overlap, same-key windows never do, and results stay bit-identical
    to sequential execution.
+6. Under saturation — more submitter threads than cores against
+   bounded admission — every submission is admitted and served, none
+   hangs, and every result is bit-identical to a fresh engine's.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core.planning import worker_share
+from repro.datasets import make_beta_dataset
 from repro.oracle import (
     CircuitOpenError,
     OracleCircuitBreaker,
@@ -46,6 +51,21 @@ RT = (
     "SELECT * FROM t WHERE P(x) = True ORACLE LIMIT 400 USING A(x) "
     "RECALL TARGET {gamma}% WITH PROBABILITY 95%"
 )
+
+TARGET = (
+    "SELECT * FROM t WHERE P(x) = True ORACLE LIMIT {budget} USING A(x) "
+    "{target} TARGET {gamma}% WITH PROBABILITY 95%"
+)
+
+#: A mixed batch with 2 distinct oracle draws: the four recall targets
+#: share one proxy-weighted design, and the three precision targets share
+#: IS-CI-P's stage-1 design (budget // 2), which the last recall query
+#: reuses.
+MIXED_BATCH = [
+    *(TARGET.format(budget=500, target="RECALL", gamma=g) for g in (80, 85, 90, 95)),
+    *(TARGET.format(budget=500, target="PRECISION", gamma=g) for g in (80, 90, 95)),
+    TARGET.format(budget=250, target="RECALL", gamma=90),
+]
 
 DONE = object()  # sentinel result for stubbed window executions
 
@@ -512,6 +532,66 @@ def test_concurrent_windows_bit_identical_to_sequential(beta_dataset):
     finally:
         service.close(timeout=30)
     assert service.session_stats()["window_errors"] == 0
+
+
+def test_saturated_service_serves_every_submitter_bit_identically():
+    """64 submitter threads (more than there are cores) cycle through the
+    mixed batch against ``block`` admission with a queue of 8, two
+    concurrent windows, eight clients and both lanes.  Every thread
+    finishes, every submission is admitted and served without error, and
+    every result matches a fresh engine's ``execute()`` byte for byte."""
+    submitters = 64
+    dataset = make_beta_dataset(0.01, 1.0, size=20_000, seed=7)
+    reference_engine = _engine(dataset)
+    expected = {sql: reference_engine.execute(sql, seed=0) for sql in MIXED_BATCH}
+    statements = [MIXED_BATCH[i % len(MIXED_BATCH)] for i in range(submitters)]
+    results: list = [None] * submitters
+    errors: list = []
+    service = SupgService(
+        _engine(dataset),
+        max_window_queries=16,
+        max_window_ms=50.0,
+        max_queue_depth=8,
+        admission="block",
+        admission_timeout_s=60.0,
+        max_inflight_windows=2,
+    )
+
+    def submitter(i: int, sql: str) -> None:
+        try:
+            ticket = service.submit(
+                sql,
+                seed=0,
+                client_id=f"tenant-{i % 8}",
+                lane="interactive" if i % 10 == 0 else "batch",
+            )
+            results[i] = ticket.result(timeout=60)
+        except Exception as exc:  # reported by the assertion below
+            errors.append((i, exc))
+
+    threads = [
+        threading.Thread(target=submitter, args=(i, sql), daemon=True)
+        for i, sql in enumerate(statements)
+    ]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch_interval)
+        service.close(timeout=30)
+    assert not [thread for thread in threads if thread.is_alive()]
+    assert errors == []
+    for got, sql in zip(results, statements):
+        want = expected[sql]
+        assert got.result.indices.tobytes() == want.result.indices.tobytes()
+        assert got.result.tau == want.result.tau
+        assert got.result.oracle_calls == want.result.oracle_calls
+    stats = service.session_stats()
+    assert stats["admitted"] == stats["queries_served"] == submitters
 
 
 # -- worker budgeting ----------------------------------------------------------

@@ -4,7 +4,8 @@ The vectorized ``precision_candidate_scan`` must return the *same*
 threshold and the *same* accept set as
 ``precision_candidate_scan_reference`` (the paper-pseudocode loop) for
 every confidence-bound class, including weighted samples, heavy score
-ties, and degenerate label patterns.
+ties, degenerate label patterns, and the paper's scale (budget 10,000,
+candidate step 100).
 """
 
 from __future__ import annotations
@@ -86,11 +87,29 @@ def test_scan_matches_reference(bound, uniform_only, data, gamma, delta):
     _assert_scans_agree(scores, labels, mass, gamma, delta, bound, step)
 
 
-@pytest.mark.parametrize("bound,uniform_only", SCAN_BOUNDS, ids=lambda b: repr(b))
-@pytest.mark.parametrize("labels_kind", ["all-zero", "all-one", "mixed"])
+#: Fixed samples: degenerate label patterns at n = 200 under every bound,
+#: and the paper's scale (budget 10,000, candidate step m = 100) under
+#: the normal, Clopper-Pearson and Hoeffding bounds, plus the normal
+#: bound on an importance-weighted sample.
+FIXED_SAMPLES = [
+    pytest.param(bound, uniform_only, kind, id=f"{kind}-{bound!r}-{uniform_only}")
+    for kind in ("all-zero", "all-one", "mixed")
+    for bound, uniform_only in SCAN_BOUNDS
+] + [
+    pytest.param(bound, uniform_only, "paper-scale", id=f"paper-scale-{bound!r}-{uniform_only}")
+    for bound, uniform_only in [
+        (NormalBound(), True),
+        (ClopperPearsonBound(), True),
+        (HoeffdingBound(), True),
+        (NormalBound(), False),
+    ]
+]
+
+
+@pytest.mark.parametrize("bound,uniform_only,labels_kind", FIXED_SAMPLES)
 def test_scan_matches_reference_degenerate_labels(bound, uniform_only, labels_kind):
     rng = np.random.default_rng(23)
-    n = 200
+    n, step = (10_000, 100) if labels_kind == "paper-scale" else (200, 25)
     scores = rng.random(n)
     if labels_kind == "all-zero":
         labels = np.zeros(n)
@@ -99,7 +118,7 @@ def test_scan_matches_reference_degenerate_labels(bound, uniform_only, labels_ki
     else:
         labels = (rng.random(n) < scores).astype(float)
     mass = np.ones(n) if uniform_only else rng.choice([1.0, 1.0, 3.0], size=n)
-    _assert_scans_agree(scores, labels, mass, 0.8, 0.05, bound, 25)
+    _assert_scans_agree(scores, labels, mass, 0.8, 0.05, bound, step)
 
 
 def test_scan_empty_sample():

@@ -9,11 +9,17 @@ across backends, and full engine executions (including ``jobs > 1``
 and corruption recovery).
 """
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.stats_backend import (
     DEFAULT_CHUNK_RECORDS,
     DiskBackend,
@@ -183,6 +189,79 @@ class TestBackendParity:
         data.select_above(tau)
         paged = backend.counters["bytes_paged"]
         assert 0 < paged < data.size * 8  # far less than one full column
+
+
+# ----------------------------------------------------------------------
+# Bounded memory: paged scans from a process that never holds the column.
+# ----------------------------------------------------------------------
+
+
+def _has_vm_hwm() -> bool:
+    try:
+        with open("/proc/self/status") as handle:
+            return any(line.startswith("VmHWM:") for line in handle)
+    except OSError:
+        return False
+
+
+#: A fresh interpreter opens the sort files as memmaps plus the zone-map
+#: sidecar, runs paged scans, and reports the growth of its own resident
+#: high-water mark.  ``VmHWM`` belongs to the new process image, whereas
+#: ``ru_maxrss`` carries the parent's peak across fork and exec and so
+#: reads no growth whatever the scans allocate.
+_PAGED_SCAN_CHILD = """\
+import hashlib, json, sys
+import numpy as np
+from repro.core.stats_backend import DiskBackend
+from repro.core.zonemap import ScoreZoneMap
+
+def vm_hwm_kib():
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+store, fingerprint, size = sys.argv[1], sys.argv[2], int(sys.argv[3])
+backend = DiskBackend(store)
+baseline_kib = vm_hwm_kib()
+sorted_scores = np.load(backend.stat_path(fingerprint, "sorted-scores"), mmap_mode="r")
+score_order = np.load(backend.stat_path(fingerprint, "score-order"), mmap_mode="r")
+zone_map = ScoreZoneMap.load_sidecar(store, fingerprint, size)
+counters = {"bytes_paged": 0}
+digests = []
+for tau in map(float, sys.argv[4:]):
+    selection = zone_map.select_above_paged(tau, sorted_scores, score_order, counters)
+    digests.append(hashlib.sha256(selection.tobytes()).hexdigest())
+print(json.dumps({"growth_kib": vm_hwm_kib() - baseline_kib,
+                  "bytes_paged": counters["bytes_paged"], "digests": digests}))
+"""
+
+
+class TestBoundedMemory:
+    @pytest.mark.skipif(not _has_vm_hwm(), reason="needs VmHWM in /proc/self/status")
+    def test_paged_scans_grow_rss_by_a_fraction_of_the_statistics(self, tmp_path):
+        size = 1_000_000
+        data = make_dataset(size=size)
+        data.use_backend(DiskBackend(tmp_path, chunk_records=1 << 18))
+        data.prime_zone_map(tmp_path)
+        assert data.zone_map is not None  # writes the sort files and the sidecar
+        footprint = sum(entry["bytes"] for entry in statistic_entries(tmp_path))
+        taus = [float(data.sorted_scores[int(size * (1 - frac))]) for frac in (0.001, 0.01)]
+        expected = [
+            hashlib.sha256(np.flatnonzero(data.proxy_scores >= tau).tobytes()).hexdigest()
+            for tau in taus
+        ]
+        child = subprocess.run(
+            [sys.executable, "-c", _PAGED_SCAN_CHILD, str(tmp_path), data.fingerprint,
+             str(size), *map(repr, taus)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        )
+        assert child.returncode == 0, child.stderr
+        probe = json.loads(child.stdout)
+        assert probe["digests"] == expected
+        assert probe["growth_kib"] * 1024 < 0.25 * footprint
+        assert probe["bytes_paged"] < 0.10 * data.proxy_scores.nbytes
 
 
 # ----------------------------------------------------------------------
