@@ -33,7 +33,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-PAIRS = 3
+#: Even, so that each side runs first in half of the pairs (the second
+#: run of a pair reads a few percent slower on some metrics).  With one
+#: commit on both sides on a 2-core x86_64 box, three pairs failed one
+#: run in three (cold-table setup_s +31%); six stayed inside every bound.
+PAIRS = 6
 
 
 def run_once(command: list[str], checkout: Path, workload: str, seed: int,

@@ -9,17 +9,9 @@ approximation but costs ``n_resamples`` times more computation.
 The implementation is vectorized: all resamples are drawn as one
 ``(n_resamples, n)`` index matrix and reduced along the last axis.
 
-Two batch modes exist for the suffix-batch API the candidate scans use:
-
-- **Default** (``share_matrix=False``): one index matrix per distinct
-  suffix length, reseeded per length, which reproduces the scalar
-  ``lower``/``upper`` bit for bit (the guarantee tests pin this).
-- **Shared** (``share_matrix=True``): one ``(n_resamples, n_max)``
-  uniform matrix drawn once and rescaled per suffix length, so an
-  M-length batch pays for one generator pass instead of M.  The
-  resample indices differ from the scalar path (a different — equally
-  valid — RNG contract), so batch results agree with the scalar bound
-  only statistically, not bit-exactly.
+The suffix-batch API the candidate scans use draws one index matrix per
+distinct suffix length, reseeded per length, which reproduces the
+scalar ``lower``/``upper`` bit for bit (the guarantee tests pin this).
 
 Resampled means are additionally memoized in a small module-level LRU
 keyed by (sample content digest, n_resamples, seed).  Bound-ablation
@@ -71,26 +63,15 @@ class BootstrapBound(ConfidenceBound):
             deterministic function of (sample, delta) for a fixed seed,
             which keeps the SUPG guarantee analysis well-defined and the
             tests reproducible.
-        share_matrix: opt into the shared-resample-matrix batch mode
-            (see the module docstring).  ``lower_batch``/``upper_batch``
-            then draw one uniform ``(n_resamples, max(counts))`` matrix
-            and derive every suffix length's indices from it, instead
-            of reseeding per length — still deterministic for a fixed
-            seed, but no longer bit-identical to the scalar methods
-            (only statistically equivalent).  Scalar ``lower``/``upper``
-            are unaffected.
     """
 
     name = "bootstrap"
 
-    def __init__(
-        self, n_resamples: int = 1000, seed: int = 0, share_matrix: bool = False
-    ) -> None:
+    def __init__(self, n_resamples: int = 1000, seed: int = 0) -> None:
         if n_resamples < 1:
             raise ValueError(f"n_resamples must be positive, got {n_resamples}")
         self.n_resamples = n_resamples
         self.seed = seed
-        self.share_matrix = share_matrix
 
     def _resampled_means(self, values: np.ndarray) -> np.ndarray:
         """Means of ``n_resamples`` with-replacement resamples of ``values``.
@@ -153,12 +134,9 @@ class BootstrapBound(ConfidenceBound):
         vectorized mean-reduction.  (A single matrix shared across
         different lengths would be cheaper still, but its draws could
         not reproduce the scalar path bit for bit, and the guarantee
-        tests pin batch == scalar exactly — ``share_matrix=True`` opts
-        into exactly that trade, via :meth:`_shared_batch_quantiles`.)
+        tests pin batch == scalar exactly.)
         """
         arr, c = validate_batch(values, counts)
-        if self.share_matrix:
-            return self._shared_batch_quantiles(arr, c, q, empty)
         out = np.full(c.size, empty)
         for n in np.unique(c):
             if n == 0:
@@ -166,33 +144,6 @@ class BootstrapBound(ConfidenceBound):
             suffix = arr[arr.size - n :]
             value = float(np.quantile(self._resampled_means(suffix), q))
             out[c == n] = value
-        return out
-
-    def _shared_batch_quantiles(
-        self, arr: np.ndarray, c: np.ndarray, q: float, empty: float
-    ) -> np.ndarray:
-        """Shared-matrix batch mode: one uniform draw serves every length.
-
-        A uniform variate ``u`` rescales to a valid resample index for
-        *any* suffix length ``n`` via ``floor(u * n)``, so a single
-        ``(n_resamples, max(counts))`` matrix replaces the per-length
-        generator passes — the dominant cost when the batch spans many
-        distinct lengths.  Per-suffix means are still reduced per
-        length (that work is inherent to the estimator).
-        """
-        out = np.full(c.size, empty)
-        lengths = np.unique(c[c > 0])
-        if lengths.size == 0:
-            return out
-        rng = np.random.default_rng(self.seed)
-        u = rng.random((self.n_resamples, int(lengths.max())))
-        for n in lengths:
-            suffix = arr[arr.size - n :]
-            # floor(u * n) < n for u in [0, 1); clip guards the
-            # measure-zero u == 1.0 edge that float rounding can hit.
-            idx = np.minimum((u[:, :n] * n).astype(np.intp), n - 1)
-            means = suffix[idx].mean(axis=1)
-            out[c == n] = float(np.quantile(means, q))
         return out
 
     def upper_batch(self, values: np.ndarray, counts: np.ndarray, delta: float) -> np.ndarray:

@@ -39,7 +39,6 @@ from .core.pipeline import QUARANTINE_DIRNAME, ExecutionContext, SampleStore
 from .core.planning import plan_budget
 from .core.stats_backend import statistic_entries
 from .core.types import ApproxQuery
-from .core.zonemap import MIN_INDEXED_SIZE, ScoreZoneMap
 from .datasets import available_datasets, load_dataset
 from .experiments import ALL_EXPERIMENTS, resolve_n_jobs
 from .experiments.io import save_result
@@ -784,24 +783,6 @@ def _cmd_plan_batch(args, out) -> int:
         # incremental re-run of this batch would actually pay for.
         store = SampleStore(store_dir=args.store_dir)
         print(plan.render_store_diff(store), file=out)
-        # Zone-map sidecar status per workload: whether an engine run
-        # against this store would reuse a persisted index (warm), have
-        # to rebuild one (stale/cold), or skips indexing entirely.
-        for dataset_name, dataset in sorted(loaded.items()):
-            if dataset.size < MIN_INDEXED_SIZE:
-                status = f"not indexed ({dataset.size} records below threshold)"
-            else:
-                path = ScoreZoneMap.sidecar_path(args.store_dir, dataset.fingerprint)
-                cached = ScoreZoneMap.load_sidecar(
-                    args.store_dir, dataset.fingerprint, expected_size=dataset.size
-                )
-                if cached is not None:
-                    status = f"warm sidecar ({cached.strata} strata, {path.name})"
-                elif path.exists():
-                    status = f"stale sidecar ({path.name}; will rebuild)"
-                else:
-                    status = "cold (index built and persisted on first run)"
-            print(f"zonemap   : {dataset_name}: {status}", file=out)
     return 0
 
 
@@ -839,19 +820,6 @@ def _cmd_store(args, out) -> int:
         )
     usage = SampleStore.disk_usage(store_dir)
     print(f"total     : {usage['files']} spill files, {usage['total_bytes']} bytes", file=out)
-    for entry in ScoreZoneMap.sidecar_entries(store_dir):
-        if "error" in entry:
-            what = f"<unreadable: {entry['error']}>"
-        else:
-            staleness = "STALE FORMAT" if entry["stale"] else "ok"
-            what = (
-                f"{entry['strata']} strata over {entry['records']} records, "
-                f"dataset={entry['fingerprint'][:12]} [{staleness}]"
-            )
-        print(
-            f"zonemap   : {entry['file']}  {entry['bytes']:>9d} B  {what}",
-            file=out,
-        )
     for entry in statistic_entries(store_dir):
         if "error" in entry:
             what = f"<unreadable: {entry['error']}> [{entry['state']}]"

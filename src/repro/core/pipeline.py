@@ -107,6 +107,7 @@ __all__ = [
     "StageRuntime",
     "materialize_selection",
     "ground_truth_labeler",
+    "quarantine_file",
 ]
 
 #: Default LRU capacity: at the paper-scale budget of 10k draws a cached
@@ -122,14 +123,37 @@ SPILL_FORMAT_VERSION = 1
 SPILL_GLOB = "sample-*.npz"
 
 #: Subdirectory of a ``store_dir`` holding quarantined (defective)
-#: spill files and their ``*.reason.json`` reports.  Outside the
-#: root-level ``SPILL_GLOB``, so quarantined files are invisible to
+#: spill and statistic files and their ``*.reason.json`` reports.
+#: Outside the root-level globs, so quarantined files are invisible to
 #: loading, eviction, and usage accounting.
 QUARANTINE_DIRNAME = "quarantine"
 
 #: Sidecar file holding best-effort cumulative counters for a
 #: ``store_dir`` (spills, disk hits, evictions) across processes.
 STATS_FILENAME = "store-stats.json"
+
+
+def quarantine_file(path: Path, reason: str, **report: object) -> bool:
+    """Move a defective store file into ``quarantine/`` beside it.
+
+    The file keeps its name and gains a ``<name>.reason.json`` report
+    holding its name, ``reason``, the time, and any extra ``report``
+    fields; ``repro store ls`` lists both.  Best-effort: returns
+    ``False`` when the move or the report fails, and the caller applies
+    its own fallback.
+    """
+    quarantine_dir = path.parent / QUARANTINE_DIRNAME
+    try:
+        quarantine_dir.mkdir(exist_ok=True)
+        target = quarantine_dir / path.name
+        os.replace(path, target)
+        payload = {"file": path.name, "reason": reason, "quarantined_at": time.time(), **report}
+        target.with_name(target.name + ".reason.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True)
+        )
+    except OSError:
+        return False
+    return True
 
 
 def ground_truth_labeler(dataset: "Dataset") -> LabelFn:
@@ -454,27 +478,11 @@ class SampleStore:
         vanished under a concurrent worker) the fresh-draw fallback has
         already happened and nothing else is at stake.
         """
-        if self.store_dir is None:  # pragma: no cover - callers guarantee a dir
-            return
         reason = str(defect) or type(defect).__name__
-        quarantine_dir = self.store_dir / QUARANTINE_DIRNAME
-        try:
-            quarantine_dir.mkdir(exist_ok=True)
-            target = quarantine_dir / path.name
-            os.replace(path, target)
-            report = {
-                "file": path.name,
-                "reason": reason,
-                "quarantined_at": time.time(),
-                "expected_key": self._key_meta(fingerprint, design, seed),
-            }
-            target.with_name(target.name + ".reason.json").write_text(
-                json.dumps(report, indent=2, sort_keys=True)
-            )
-        except OSError:
-            return
-        self.quarantined += 1
-        self._bump_persistent_stats(quarantined=1)
+        expected_key = self._key_meta(fingerprint, design, seed)
+        if quarantine_file(path, reason, expected_key=expected_key):
+            self.quarantined += 1
+            self._bump_persistent_stats(quarantined=1)
 
     @staticmethod
     def quarantine_entries(store_dir: str | os.PathLike) -> list[dict]:
@@ -635,17 +643,14 @@ class SampleStore:
     def clear_disk(cls, store_dir: str | os.PathLike) -> Mapping[str, int]:
         """Delete every spill file (and the stats sidecar) in a directory.
 
-        Zone-map sidecars (``zonemap-*.npz``, written by the query
-        engine next to the spills) and backend statistic files
-        (``stat-*.npy`` plus their ``.meta.json`` sidecars, written by
-        the disk statistics backend) are cleared too: they are
-        derivable statistics, not labeled data, so "clear the store"
-        should leave nothing behind.  Only files this repo wrote are
-        touched — foreign files in the directory are left alone.
-        Returns the removed count and bytes.
+        Backend statistic files (``stat-*.npy`` plus their
+        ``.meta.json`` sidecars, written by the disk statistics backend)
+        are cleared too: they are derivable statistics, not labeled
+        data, so "clear the store" should leave nothing behind.  Only
+        files this repo wrote are touched — foreign files in the
+        directory are left alone.  Returns the removed count and bytes.
         """
         from .stats_backend import statistic_files
-        from .zonemap import SIDECAR_GLOB as ZONEMAP_SIDECAR_GLOB
 
         removed = 0
         freed = 0
@@ -656,8 +661,7 @@ class SampleStore:
                 continue
             removed += 1
             freed += entry["bytes"]
-        base = Path(store_dir).expanduser()
-        for path in (*base.glob(ZONEMAP_SIDECAR_GLOB), *statistic_files(store_dir)):
+        for path in statistic_files(store_dir):
             try:
                 size = path.stat().st_size
                 path.unlink()

@@ -3,7 +3,9 @@
 SUPG's selectors only ever touch a dataset through a handful of derived
 statistics — the ascending sorted proxy scores (Algorithm 5's stage-1
 cut), the stable argsort order that maps sorted positions back to record
-indices, and the defensive importance-weight vectors (Algorithms 4-5).
+indices, the defensive importance-weight vectors (Algorithms 4-5), and
+the score zone map that serves every threshold scan
+(:mod:`repro.core.zonemap`).
 Historically those lived as ad-hoc ``Dataset`` cached properties, which
 assumes every statistic is a fully materialized ``ndarray`` in RAM and
 caps the system at memory-sized datasets.
@@ -14,7 +16,8 @@ This module puts a provider interface between *what a statistic is* and
 ``InMemoryBackend``
     The historical behavior, bit for bit: ``np.sort``,
     ``np.argsort(kind="stable")`` and
-    :func:`repro.sampling.proxy_sampling_weights` on RAM arrays.
+    :func:`repro.sampling.proxy_sampling_weights` on RAM arrays, and
+    :meth:`ScoreZoneMap.build <repro.core.zonemap.ScoreZoneMap.build>`.
 
 ``DiskBackend``
     Statistics live in fingerprint-keyed ``.npy`` files under the store
@@ -25,7 +28,9 @@ This module puts a provider interface between *what a statistic is* and
     in O(chunk) passes whose floating-point result is bit-identical to
     the one-shot in-memory computation (see
     :func:`chunked_pairwise_sum`).  Peak RSS during construction and
-    scans is O(chunk_records), not O(n).
+    scans is O(chunk_records), not O(n).  The zone map is built once
+    from the sorted scores and kept in a statistic file of its own, so
+    a warm store serves every statistic without sorting.
 
 Bit-identity across backends is the contract, not an aspiration: every
 query result, every random draw, and every selection must be
@@ -43,6 +48,7 @@ statistic is rebuilt from the source scores on the next access.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -51,6 +57,9 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 from numpy.lib.format import open_memmap
+
+from .pipeline import quarantine_file
+from .zonemap import ScoreZoneMap, stratum_offsets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datasets.base import Dataset
@@ -67,6 +76,7 @@ __all__ = [
     "external_stable_argsort",
     "weight_stat_name",
     "statistic_entries",
+    "ZONE_MAP_STAT",
 ]
 
 #: Default records per chunk for the disk backend's external sort and
@@ -84,8 +94,10 @@ STAT_FILE_GLOB = "stat-*.npy"
 STAT_META_GLOB = "stat-*.npy.meta.json"
 
 _META_SUFFIX = ".meta.json"
-_QUARANTINE_DIRNAME = "quarantine"  # shared with SampleStore spills
 _STAT_FORMAT_VERSION = 1
+
+#: Statistic name of the persisted zone map.
+ZONE_MAP_STAT = "zone-map"
 
 #: numpy's pairwise summation stops recursing at blocks of 128 elements
 #: (``PW_BLOCKSIZE`` in the ufunc reduce loops); the chunked emulation
@@ -330,6 +342,10 @@ class StatisticsBackend:
     implementations — callers never know or care which backend served
     them.
 
+    ``zone_map`` returns an in-RAM
+    :class:`~repro.core.zonemap.ScoreZoneMap` (its arrays are tiny);
+    the dataset applies the ``MIN_INDEXED_SIZE`` gate before asking.
+
     ``counters`` is a plain dict surfaced through
     ``SupgEngine.session_stats()``: construction work
     (``sorts_performed``, ``weight_passes``, ``chunks_merged``,
@@ -357,6 +373,9 @@ class StatisticsBackend:
     def sampling_weights(
         self, dataset: "Dataset", exponent: float, mixing: float
     ) -> np.ndarray:
+        raise NotImplementedError
+
+    def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
         raise NotImplementedError
 
     def describe(self) -> dict[str, object]:
@@ -393,20 +412,24 @@ class InMemoryBackend(StatisticsBackend):
         out.flags.writeable = False
         return out
 
+    def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
+        return ScoreZoneMap.build(dataset.sorted_scores)
+
 
 class DiskBackend(StatisticsBackend):
     """Fingerprint-keyed statistic files under the store directory.
 
     Files are named ``stat-<fingerprint16>-<statistic>.npy`` with a
-    ``.meta.json`` sidecar recording the *full* fingerprint, record
-    count and dtype; a file whose sidecar is missing or mismatched is
-    quarantined and rebuilt.  Writes are crash-safe: the array is built
-    in a dot-prefixed temporary, flushed, its sidecar written, then
-    ``os.replace``d into place — readers either see the complete pair
-    or nothing.  Opened views are ``mmap_mode="r"`` windows shared
-    freely across fork workers (and re-openable by path from any
-    process), so a fan-out's workers share the page cache instead of
-    copying bytes.
+    ``.meta.json`` sidecar recording the format version, the *full*
+    fingerprint, record count and dtype; a file whose sidecar is
+    missing or mismatched is quarantined and rebuilt.  Writes are
+    crash-safe: the array is built in a dot-prefixed temporary, flushed,
+    its sidecar written, then ``os.replace``d into place — readers
+    either see the complete pair or nothing.  Opened views are
+    ``mmap_mode="r"`` windows shared freely across fork workers (and
+    re-openable by path from any process), so a fan-out's workers share
+    the page cache instead of copying bytes.  The zone map is the
+    exception: it is read into RAM, since its arrays are tiny.
     """
 
     kind = "disk"
@@ -453,6 +476,34 @@ class DiskBackend(StatisticsBackend):
             view = self._require(fingerprint, name, dataset.size, np.float64)
         return view
 
+    def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
+        # The file holds the strata's lows, highs and score mass,
+        # concatenated; the offsets follow from the record count.
+        offsets = stratum_offsets(dataset.size)
+        strata = offsets.size - 1
+        fingerprint = dataset.fingerprint
+        view = self._open(fingerprint, ZONE_MAP_STAT, 3 * strata, np.float64)
+        if view is not None:
+            return ScoreZoneMap(offsets, *np.array(view).reshape(3, strata))
+        zone_map = ScoreZoneMap.build(dataset.sorted_scores)
+        summaries = np.concatenate([zone_map.lows, zone_map.highs, zone_map.score_mass])
+        self.directory.mkdir(parents=True, exist_ok=True)
+        tmp = self._scratch_path(ZONE_MAP_STAT)
+        try:
+            np.save(tmp, summaries)
+            self._finalize(
+                tmp,
+                self.stat_path(fingerprint, ZONE_MAP_STAT),
+                fingerprint,
+                ZONE_MAP_STAT,
+                summaries.size,
+                np.float64,
+            )
+        finally:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        return zone_map
+
     # -- open / validate / quarantine ----------------------------------
 
     def _meta_path(self, path: Path) -> Path:
@@ -497,6 +548,7 @@ class DiskBackend(StatisticsBackend):
             return None
         if (
             meta is None
+            or meta.get("format_version") != _STAT_FORMAT_VERSION
             or meta.get("fingerprint") != fingerprint
             or int(meta.get("records", -1)) != int(records)
             or view.ndim != 1
@@ -521,34 +573,18 @@ class DiskBackend(StatisticsBackend):
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a bad statistic file aside with a forensic reason sidecar.
 
-        Mirrors the sample store's spill quarantine: the file (if
-        movable) lands in ``<directory>/quarantine/`` next to a
-        ``.reason.json`` report, its metadata sidecar is removed, and
-        the statistic rebuilds from source on the next access.
+        The sample store's spill quarantine (:func:`~repro.core.pipeline.
+        quarantine_file`): the file lands in ``<directory>/quarantine/``
+        next to a ``.reason.json`` report, or is deleted when it cannot
+        be moved; its metadata sidecar is removed, and the statistic
+        rebuilds from source on the next access.
         """
         self.counters["stats_quarantined"] += 1
-        quarantine = self.directory / _QUARANTINE_DIRNAME
-        try:
-            quarantine.mkdir(parents=True, exist_ok=True)
-            target = quarantine / path.name
-            os.replace(path, target)
-            report = {
-                "file": path.name,
-                "reason": reason,
-                "quarantined_at": time.time(),
-            }
-            (quarantine / (path.name + ".reason.json")).write_text(
-                json.dumps(report, indent=2, sort_keys=True)
-            )
-        except OSError:
-            try:
+        if not quarantine_file(path, reason):
+            with contextlib.suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
-        try:
+        with contextlib.suppress(OSError):
             self._meta_path(path).unlink()
-        except OSError:
-            pass
 
     # -- construction --------------------------------------------------
 
@@ -689,8 +725,8 @@ def statistic_entries(directory) -> list[dict[str, object]]:
     Each entry reports file name, size, dtype, record count, the owning
     dataset fingerprint (from the metadata sidecar) and a ``state`` of
     ``"warm"`` (valid pair) or ``"stale"`` (unreadable, or metadata
-    missing/mismatched — the backend would quarantine and rebuild it on
-    access).
+    missing, of another format version or mismatched — the backend would
+    quarantine and rebuild it on access).
     """
     base = Path(directory).expanduser()
     entries: list[dict[str, object]] = []
@@ -718,9 +754,9 @@ def statistic_entries(directory) -> list[dict[str, object]]:
             meta = json.loads(meta_path.read_text())
         except (OSError, ValueError):
             meta = None
-        if meta is None:
+        if meta is None or meta.get("format_version") != _STAT_FORMAT_VERSION:
             state = "stale"
-        else:
+        if meta is not None:
             entry["fingerprint"] = meta.get("fingerprint")
             entry["stat"] = meta.get("stat")
             if records is not None and int(meta.get("records", -1)) != records:

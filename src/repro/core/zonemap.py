@@ -37,10 +37,10 @@ counted in ``zonemap_dense_fallbacks``).  Datasets below
 already cheap and the index bookkeeping is pure overhead.
 
 The index arrays are tiny (4 arrays of K ≈ n / 8192 entries), so fork
-workers inherit them like any other dataset statistic, and they
-persist as an ``.npz`` sidecar next to the sample store's spills
-(:meth:`ScoreZoneMap.save_sidecar`), keyed and validated by dataset
-fingerprint so a stale sidecar is never served.
+workers inherit them like any other dataset statistic.  The dataset's
+statistics backend builds the map (``StatisticsBackend.zone_map``); the
+disk backend also keeps it in a fingerprint-keyed statistic file, so a
+warm store serves it without sorting.
 
 NaN proxy scores would break the dense/indexed equivalence (NaN
 compares false against every ``tau`` but sorts to the end of
@@ -50,10 +50,7 @@ them at construction.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -61,10 +58,9 @@ __all__ = [
     "DEFAULT_STRATUM_SIZE",
     "DENSE_FALLBACK_FRACTION",
     "MIN_INDEXED_SIZE",
-    "SIDECAR_FORMAT_VERSION",
-    "SIDECAR_GLOB",
     "ScoreZoneMap",
     "SkipEstimate",
+    "stratum_offsets",
 ]
 
 #: Records per stratum (equi-depth).  ~8k keeps the boundary-stratum
@@ -82,10 +78,15 @@ MIN_INDEXED_SIZE = 4 * DEFAULT_STRATUM_SIZE
 #: radix-sorting an O(n)-sized index tail.
 DENSE_FALLBACK_FRACTION = 0.25
 
-SIDECAR_FORMAT_VERSION = 1
 
-#: Filename pattern of persisted sidecars inside a store directory.
-SIDECAR_GLOB = "zonemap-*.npz"
+def stratum_offsets(size: int, stratum_size: int = DEFAULT_STRATUM_SIZE) -> np.ndarray:
+    """Record offsets of ``ceil(size / stratum_size)`` equi-depth strata.
+
+    A pure function of its arguments, so a persisted map need not store
+    its offsets.
+    """
+    strata = -(-int(size) // stratum_size)  # ceil division
+    return np.minimum(np.arange(strata + 1, dtype=np.intp) * stratum_size, int(size))
 
 
 @dataclass(frozen=True)
@@ -121,9 +122,9 @@ class ScoreZoneMap:
     """Equi-depth strata over one dataset's sorted proxy scores.
 
     Construct via :meth:`build` (from the cached ascending
-    ``sorted_scores``) or :meth:`load_sidecar`.  The map holds only
-    per-stratum summaries — the score arrays themselves stay on the
-    dataset — so instances are cheap to inherit, pickle, and persist.
+    ``sorted_scores``).  The map holds only per-stratum summaries — the
+    score arrays themselves stay on the dataset — so instances are cheap
+    to inherit, pickle, and persist.
 
     Per-process telemetry accrues in :attr:`counters` (aggregated into
     ``SupgEngine.session_stats()``); counts from forked workers die
@@ -138,7 +139,6 @@ class ScoreZoneMap:
         lows: np.ndarray,
         highs: np.ndarray,
         score_mass: np.ndarray,
-        dense_fraction: float = DENSE_FALLBACK_FRACTION,
     ) -> None:
         self.offsets = np.asarray(offsets, dtype=np.intp)
         self.lows = np.asarray(lows, dtype=float)
@@ -152,7 +152,6 @@ class ScoreZoneMap:
             or self.lows.size != self.offsets.size - 1
         ):
             raise ValueError("zone-map arrays are misaligned")
-        self.dense_fraction = float(dense_fraction)
         #: Cumulative suffix sums of ``score_mass`` (length K+1): the
         #: expected positives at or above each stratum boundary, under
         #: a calibrated proxy.  Derived locally, never shared.
@@ -173,7 +172,6 @@ class ScoreZoneMap:
         cls,
         sorted_scores: np.ndarray,
         stratum_size: int | None = None,
-        dense_fraction: float = DENSE_FALLBACK_FRACTION,
     ) -> "ScoreZoneMap":
         """Build the index from ascending sorted scores.
 
@@ -183,18 +181,14 @@ class ScoreZoneMap:
         scores = np.asarray(sorted_scores, dtype=float)
         if scores.ndim != 1 or scores.size == 0:
             raise ValueError("sorted_scores must be a non-empty 1-D array")
-        size = int(scores.size)
         depth = DEFAULT_STRATUM_SIZE if stratum_size is None else int(stratum_size)
         if depth <= 0:
             raise ValueError(f"stratum_size must be positive, got {depth}")
-        strata = -(-size // depth)  # ceil division
-        offsets = np.minimum(
-            np.arange(strata + 1, dtype=np.intp) * depth, size
-        )
+        offsets = stratum_offsets(scores.size, depth)
         lows = scores[offsets[:-1]]
         highs = scores[offsets[1:] - 1]
         score_mass = np.add.reduceat(scores, offsets[:-1])
-        return cls(offsets, lows, highs, score_mass, dense_fraction=dense_fraction)
+        return cls(offsets, lows, highs, score_mass)
 
     # -- structure -------------------------------------------------------------
 
@@ -285,7 +279,7 @@ class ScoreZoneMap:
         if selected == 0:
             self.counters["records_skipped"] += self.size
             return np.zeros(0, dtype=np.intp)
-        if selected > self.dense_fraction * self.size:
+        if selected > DENSE_FALLBACK_FRACTION * self.size:
             self.counters["zonemap_dense_fallbacks"] += 1
             self.counters["strata_touched"] += self.strata
             return np.flatnonzero(proxy_scores >= tau)
@@ -367,106 +361,3 @@ class ScoreZoneMap:
             est_selected=self.size - int(self.offsets[start]),
             est_skipped=int(self.offsets[start]),
         )
-
-    # -- sidecar persistence ---------------------------------------------------
-
-    @staticmethod
-    def sidecar_path(directory: "str | os.PathLike", fingerprint: str) -> Path:
-        return Path(directory) / f"zonemap-{fingerprint[:40]}.npz"
-
-    def save_sidecar(self, directory: "str | os.PathLike", fingerprint: str) -> Path | None:
-        """Persist the index next to the store's spills (atomic, best-effort).
-
-        The sidecar records the format version, the owning dataset's
-        fingerprint, and the covered size, so :meth:`load_sidecar` can
-        reject stale or foreign files instead of serving them.
-        """
-        path = self.sidecar_path(directory, fingerprint)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(
-                        handle,
-                        format_version=np.asarray(SIDECAR_FORMAT_VERSION),
-                        fingerprint=np.asarray(fingerprint),
-                        size=np.asarray(self.size),
-                        offsets=self.offsets,
-                        lows=self.lows,
-                        highs=self.highs,
-                        score_mass=self.score_mass,
-                    )
-                os.replace(tmp, path)
-            except BaseException:
-                os.unlink(tmp)
-                raise
-        except OSError:
-            return None
-        return path
-
-    @classmethod
-    def load_sidecar(
-        cls,
-        directory: "str | os.PathLike",
-        fingerprint: str,
-        expected_size: int | None = None,
-    ) -> "ScoreZoneMap | None":
-        """Load a persisted index, or ``None`` when absent or stale.
-
-        Staleness means any mismatch: format version, recorded
-        fingerprint, or covered size.  A stale file is left in place
-        (the index is derivable, so there is nothing to quarantine) and
-        simply rebuilt by the caller.
-        """
-        path = cls.sidecar_path(directory, fingerprint)
-        try:
-            with np.load(path, allow_pickle=False) as payload:
-                if int(payload["format_version"]) != SIDECAR_FORMAT_VERSION:
-                    return None
-                if str(payload["fingerprint"]) != fingerprint:
-                    return None
-                zone_map = cls(
-                    payload["offsets"],
-                    payload["lows"],
-                    payload["highs"],
-                    payload["score_mass"],
-                )
-        except (OSError, KeyError, ValueError):
-            return None
-        if expected_size is not None and zone_map.size != int(expected_size):
-            return None
-        return zone_map
-
-    @staticmethod
-    def sidecar_entries(directory: "str | os.PathLike") -> "list[dict[str, object]]":
-        """Inventory of zone-map sidecars in a store directory.
-
-        What ``repro store ls`` prints alongside spills: file name,
-        bytes on disk, recorded fingerprint, stratum count, and covered
-        size.  Unreadable files are reported with an ``error`` field
-        instead of being skipped silently.
-        """
-        entries: list[dict[str, object]] = []
-        base = Path(directory)
-        if not base.is_dir():
-            return entries
-        for path in sorted(base.glob(SIDECAR_GLOB)):
-            entry: dict[str, object] = {
-                "file": path.name,
-                "bytes": path.stat().st_size,
-            }
-            try:
-                with np.load(path, allow_pickle=False) as payload:
-                    entry["fingerprint"] = str(payload["fingerprint"])
-                    entry["strata"] = int(payload["offsets"].size - 1)
-                    entry["records"] = int(payload["size"])
-                    entry["stale"] = (
-                        int(payload["format_version"]) != SIDECAR_FORMAT_VERSION
-                    )
-            except (OSError, KeyError, ValueError) as exc:
-                entry["error"] = str(exc) or type(exc).__name__
-            entries.append(entry)
-        return entries

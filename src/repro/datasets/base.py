@@ -189,46 +189,22 @@ class Dataset:
         """
         return self.stats_backend.score_order(self)
 
-    def prime_zone_map(self, store_dir) -> None:
-        """Arm lazy sidecar-backed zone-map priming.
-
-        Records the sidecar directory without touching any statistic:
-        the first :attr:`zone_map` access loads the fingerprint-matching
-        sidecar if one is warm (no sort performed at all), else builds
-        the index and persists it there for the next session.  Called by
-        the engine at table registration — which therefore no longer
-        forces the O(n log n) sort eagerly.
-        """
-        self.__dict__.setdefault("_zonemap_sidecar_dir", str(store_dir))
-
     @cached_property
     def zone_map(self):
         """The dataset's stratified score zone map, or ``None``.
 
-        Built once (like :attr:`sorted_scores`, which it is derived
-        from) for datasets of at least
-        :data:`~repro.core.zonemap.MIN_INDEXED_SIZE` records; smaller
-        datasets return ``None`` and every threshold lookup stays on
-        the dense path.  If :meth:`prime_zone_map` armed a sidecar
-        directory, a warm sidecar is loaded *before* any sort is forced,
-        and a cold build is persisted back.  See
-        :mod:`repro.core.zonemap`.
+        Served once by the attached backend for datasets of at least
+        :data:`~repro.core.zonemap.MIN_INDEXED_SIZE` records: built from
+        :attr:`sorted_scores` (memory), or read from the store's warm
+        statistic file without sorting (disk).  Smaller datasets return
+        ``None`` and every threshold lookup stays on the dense path.
+        See :mod:`repro.core.zonemap`.
         """
-        from ..core.zonemap import MIN_INDEXED_SIZE, ScoreZoneMap
+        from ..core.zonemap import MIN_INDEXED_SIZE
 
         if self.size < MIN_INDEXED_SIZE:
             return None
-        sidecar_dir = self.__dict__.get("_zonemap_sidecar_dir")
-        if sidecar_dir is not None:
-            zone_map = ScoreZoneMap.load_sidecar(
-                sidecar_dir, self.fingerprint, self.size
-            )
-            if zone_map is not None:
-                return zone_map
-        zone_map = ScoreZoneMap.build(self.sorted_scores)
-        if sidecar_dir is not None:
-            zone_map.save_sidecar(sidecar_dir, self.fingerprint)
-        return zone_map
+        return self.stats_backend.zone_map(self)
 
     def build_zone_map(self, stratum_size: int | None = None):
         """Force-build (and cache) a zone map, bypassing the size gate.
@@ -272,7 +248,7 @@ class Dataset:
         """
         statistics = [self.sorted_scores, self.score_order, self.proxy_scores]
         statistics.extend(self.__dict__.get("_weight_cache", {}).values())
-        self.zone_map  # built, or loaded from its sidecar, in the parent
+        self.zone_map  # built, or read from its statistic file, in the parent
         return sum(isinstance(array, np.memmap) for array in statistics)
 
     def select_above(self, tau: float) -> np.ndarray:

@@ -42,8 +42,8 @@ Trial-outer ordering is also what makes the reuse robust to LRU
 capacity: slots of one seed execute back-to-back, so a panel with
 ``trials > max_entries`` can no longer thrash the store the way a
 method-outer loop does.  The reuse is bit-exact: every slot sees the
-same sample it would have drawn itself.  Pass ``share_samples=False``
-to force fresh draws (only useful for timing the difference).
+same sample it would have drawn itself, so the records equal those of
+independent per-slot :func:`run_trials` loops.
 
 Passing ``store_dir`` spills every fresh draw to a persistent
 :class:`~repro.core.pipeline.SampleStore` tier, shared across worker
@@ -166,27 +166,15 @@ def _make_context(store_dir: str | None) -> ExecutionContext:
     return ExecutionContext(store=SampleStore(store_dir=store_dir))
 
 
-def _validate_sharing(
-    context: ExecutionContext | None,
-    share_samples: bool,
-    store_dir: str | None,
-    what: str,
+def _reject_context_with_store_dir(
+    context: ExecutionContext | None, store_dir: str | None, what: str
 ) -> None:
-    """Reject contradictory (context, share_samples, store_dir) combinations."""
-    if context is not None and not share_samples:
-        raise ValueError(
-            f"{what}(context=...) conflicts with share_samples=False; "
-            "the context would be silently discarded"
-        )
+    """A context already owns its store, so a ``store_dir`` beside it is
+    ambiguous."""
     if context is not None and store_dir is not None:
         raise ValueError(
             f"{what}(context=..., store_dir=...) is ambiguous; construct the "
             "context with SampleStore(store_dir=...) instead"
-        )
-    if store_dir is not None and not share_samples:
-        raise ValueError(
-            f"{what}(store_dir=...) conflicts with share_samples=False; "
-            "nothing would ever be spilled"
         )
 
 
@@ -302,7 +290,7 @@ def _panel_chunk_records(
     dataset: Dataset,
     trials: Sequence[int],
     base_seed: int,
-    context: ExecutionContext | None,
+    context: ExecutionContext,
 ) -> list[list[TrialRecord]]:
     """Trial-outer panel loop: per seed, evaluate every slot.
 
@@ -328,7 +316,6 @@ def _run_panel(
     trials: int,
     base_seed: int,
     n_jobs: int | None,
-    share_samples: bool,
     context: ExecutionContext | None,
     store_dir: str | None,
     what: str,
@@ -340,9 +327,9 @@ def _run_panel(
         raise ValueError(f"trials must be positive, got {trials}")
     jobs = effective_workers(n_jobs, trials, _FANOUT_TAG)
     _reject_context_with_parallelism(context, jobs, what)
-    _validate_sharing(context, share_samples, store_dir, what)
+    _reject_context_with_store_dir(context, store_dir, what)
     if jobs > 1:
-        if store_dir is not None and share_samples:
+        if store_dir is not None:
             _prewarm_store_dir(slots, dataset, trials, base_seed, store_dir)
         # Compute the dataset's statistics once, before the workers
         # fork, so every chunk inherits them instead of rebuilding them.
@@ -350,11 +337,7 @@ def _run_panel(
         chunk_results = _fan_out(
             _chunk_trials(trials, jobs),
             lambda chunk: _panel_chunk_records(
-                slots,
-                dataset,
-                chunk,
-                base_seed,
-                _make_context(store_dir) if share_samples else None,
+                slots, dataset, chunk, base_seed, _make_context(store_dir)
             ),
             jobs,
             what,
@@ -363,7 +346,7 @@ def _run_panel(
             [record for chunk in chunk_results for record in chunk[slot]]
             for slot in range(len(slots))
         ]
-    if context is None and share_samples:
+    if context is None:
         context = _make_context(store_dir)
     return _panel_chunk_records(slots, dataset, range(trials), base_seed, context)
 
@@ -375,7 +358,6 @@ def compare_methods(
     base_seed: int = 0,
     n_jobs: int | None = 1,
     context: ExecutionContext | None = None,
-    share_samples: bool = True,
     store_dir: str | None = None,
 ) -> dict[str, MethodSummary]:
     """Run a panel of methods on one workload, trial-outer.
@@ -399,14 +381,12 @@ def compare_methods(
             own sample store, so within-chunk reuse is preserved).
         context: optional externally owned context (sequential path
             only), e.g. to inspect reuse counters afterwards.
-        share_samples: disable to force a fresh draw per (method, seed)
-            (timing baseline; results are identical either way).
         store_dir: spill directory for the persistent sample-store tier
             (workers and later runs reuse the labels).
     """
     slots: list[PanelSlot] = [(factory, label) for label, factory in factories.items()]
     per_method = _run_panel(
-        slots, dataset, trials, base_seed, n_jobs, share_samples, context, store_dir,
+        slots, dataset, trials, base_seed, n_jobs, context, store_dir,
         what="compare_methods",
     )
     return {
@@ -426,7 +406,6 @@ def sweep(
     base_seed: int = 0,
     method_name: str | None = None,
     n_jobs: int | None = 1,
-    share_samples: bool = True,
     context: ExecutionContext | None = None,
     store_dir: str | None = None,
 ) -> list[MethodSummary]:
@@ -448,8 +427,6 @@ def sweep(
         method_name: summary label override.
         n_jobs: fan trial chunks across workers (each worker keeps its
             own sample store, so reuse is preserved per chunk).
-        share_samples: disable to force a fresh draw per gamma point
-            (timing baseline; results are identical either way).
         context: optional externally owned context (sequential path
             only), e.g. to share one store across several sweeps or to
             inspect reuse counters afterwards.
@@ -467,7 +444,7 @@ def sweep(
         (factory_for_gamma(gamma), method_name) for gamma in gamma_values
     ]
     per_gamma = _run_panel(
-        slots, dataset, trials, base_seed, n_jobs, share_samples, context, store_dir,
+        slots, dataset, trials, base_seed, n_jobs, context, store_dir,
         what="sweep",
     )
     return [summarize_trials(records) for records in per_gamma]
@@ -508,7 +485,7 @@ def _prewarm_cells(cell_list: Sequence[Mapping[str, object]]) -> None:
     """
     for cell in cell_list:
         store_dir = cell.get("store_dir")
-        if store_dir is None or cell.get("share_samples") is False:
+        if store_dir is None:
             continue
         try:
             slots = _cell_slots(cell)
@@ -559,7 +536,7 @@ def run_sweep_cells(
     cell_list = list(cells)
     if not cell_list:
         return []
-    _validate_sharing(context, True, store_dir, "run_sweep_cells")
+    _reject_context_with_store_dir(context, store_dir, "run_sweep_cells")
     if store_dir is not None:
         cell_list = [
             cell if "store_dir" in cell else {**cell, "store_dir": store_dir}

@@ -121,7 +121,7 @@ class _CompiledQuery:
     def joint(self) -> bool:
         return self.parsed.kind == QueryKind.JOINT
 
-    def run(self, context: ExecutionContext | None) -> SelectionResult:
+    def run(self, context: ExecutionContext) -> SelectionResult:
         """Execute this compiled query (the worker-side unit of work)."""
         if self.joint:
             return self.selector.select(self.dataset, seed=self.seed)
@@ -272,21 +272,17 @@ class SupgEngine:
     ) -> None:
         """Register a dataset under a table name.
 
-        The dataset's derived statistics are routed through the
-        engine's statistics backend (or a per-table ``backend``
-        override), and — when the engine has a persistent store
-        directory — its zone-map index is armed for *lazy* sidecar
-        priming: nothing is sorted or built here; the first query that
-        needs the index loads the fingerprint-keyed sidecar when a
-        fresh one exists (zero redundant sorts on a warm restart) and
-        builds + persists it otherwise.
+        The dataset's derived statistics, its zone map included, are
+        routed through the engine's statistics backend (or a per-table
+        ``backend`` override).  Nothing is sorted, built or written
+        here: the first query that needs a statistic asks the backend,
+        which over a warm disk store reads it without sorting.
         """
         if not name:
             raise ValueError("table name must be non-empty")
         dataset.use_backend(backend if backend is not None else self._stats_backend)
         self._tables[name] = dataset
         self._invalidate_derived(table=name)
-        self._prime_zone_map(dataset)
 
     def register_oracle_udf(self, name: str, fn: OracleUdf) -> None:
         """Register a WHERE-clause oracle predicate by UDF name."""
@@ -364,22 +360,6 @@ class SupgEngine:
             for key, value in zone_map.counters.items():
                 totals[key] = totals.get(key, 0) + int(value)
         return totals
-
-    def _prime_zone_map(self, dataset: Dataset) -> None:
-        """Arm the dataset's zone map for the store-dir sidecar tier.
-
-        Deliberately lazy: registration used to force the O(n log n)
-        sort (and the index build) eagerly even when a warm sidecar
-        made both redundant.  Now only the sidecar *directory* is
-        recorded; :attr:`Dataset.zone_map` consults it on first access,
-        loading a warm sidecar without ever touching ``sorted_scores``.
-        """
-        from ..core.zonemap import MIN_INDEXED_SIZE
-
-        store_dir = self._context.store.store_dir
-        if store_dir is None or dataset.size < MIN_INDEXED_SIZE:
-            return
-        dataset.prime_zone_map(store_dir)
 
     def transfer_stats(self) -> Mapping[str, int]:
         """Fan-out counters for this engine session.
@@ -527,7 +507,6 @@ class SupgEngine:
         seed: int | np.random.Generator = 0,
         method: str | None = None,
         stage_budget: int = 1000,
-        reuse_samples: bool = True,
         **selector_kwargs,
     ) -> QueryExecution:
         """Parse and run a SUPG dialect query.
@@ -539,9 +518,6 @@ class SupgEngine:
                 for the query type (IS-CI-R / two-stage IS-CI-P).  For
                 joint queries, one of ``"is"``, ``"uniform"``, ``"noci"``.
             stage_budget: stage-1/2 budget for joint-target queries.
-            reuse_samples: serve the draw stage from the session's
-                sample store when legal (no oracle UDF, integer seed).
-                Results are bit-identical either way.
             **selector_kwargs: forwarded to the selector constructor.
 
         Returns:
@@ -552,7 +528,7 @@ class SupgEngine:
             repro.query.parser.QuerySyntaxError: malformed query text.
         """
         job = self._compile(0, parse_query(sql), seed, method, stage_budget, selector_kwargs)
-        result = job.run(self._context if reuse_samples else None)
+        result = job.run(self._context)
         return QueryExecution(
             parsed=job.parsed, result=result, dataset=job.dataset, method=job.method
         )
@@ -584,7 +560,6 @@ class SupgEngine:
         method: "str | Sequence[str | None] | None" = None,
         jobs: int | None = None,
         stage_budget: int = 1000,
-        reuse_samples: bool = True,
         **selector_kwargs,
     ) -> list[QueryExecution]:
         """Plan and run a batch of queries; results in statement order.
@@ -610,20 +585,18 @@ class SupgEngine:
             jobs: worker processes for the group fan-out (``-1`` = all
                 cores; ``None``/``1`` = sequential).
             stage_budget: stage-1/2 budget for joint-target queries.
-            reuse_samples: disable to skip the plan warm-up and the
-                store entirely (every statement draws fresh).
             **selector_kwargs: forwarded to every selector constructor.
         """
         compiled = self._compile_batch(queries, seed, method, stage_budget, selector_kwargs)
         if not compiled:
             return []
         plan = self._plan_compiled(compiled)
-        context = self._context if reuse_samples else None
-        if context is not None:
-            plan.prewarm(context.store)
+        plan.prewarm(self._context.store)
         workers = effective_workers(jobs, len(compiled), "execute_many(jobs=...)")
         if workers > 1:
-            results, recovered = self._run_batches_parallel(compiled, plan, context, workers)
+            results, recovered = self._run_batches_parallel(
+                compiled, plan, self._context, workers
+            )
             if recovered:
                 warnings.warn(
                     f"execute_many recovered {len(recovered)} execution group(s) "
@@ -633,7 +606,7 @@ class SupgEngine:
                     stacklevel=2,
                 )
         else:
-            results = [job.run(context) for job in compiled]
+            results = [job.run(self._context) for job in compiled]
         return [
             QueryExecution(
                 parsed=job.parsed, result=result, dataset=job.dataset, method=job.method
@@ -645,7 +618,7 @@ class SupgEngine:
         self,
         compiled: Sequence[_CompiledQuery],
         plan: QueryPlan,
-        context: ExecutionContext | None,
+        context: ExecutionContext,
         workers: int,
     ) -> tuple[list[SelectionResult], list[list[int]]]:
         """Fan the plan's independent batches across fork workers.
@@ -715,7 +688,6 @@ class SupgEngine:
                     scores, name=f"{dataset.name}|{parsed.proxy.name}"
                 ).use_backend(self._stats_backend)
                 self._derived[key] = derived
-                self._prime_zone_map(derived)
             return derived
 
     def _oracle_factory(

@@ -141,73 +141,14 @@ def test_suffix_sums_matches_slicing():
     np.testing.assert_allclose(suffix_sums(values, counts), expected, rtol=1e-12)
 
 
-class TestBootstrapSharedMatrix:
-    """Opt-in shared-resample-matrix mode (``share_matrix=True``).
-
-    The shared mode draws one uniform matrix for every suffix length —
-    a different (equally valid) RNG contract than the scalar API — so
-    it is tested for statistical agreement, determinism, and for the
-    default mode remaining bit-identical to the scalar path.
-    """
-
-    def _sample(self, n=400, p=0.3, seed=8):
-        rng = np.random.default_rng(seed)
-        return (rng.random(n) < p).astype(float)
-
-    def test_default_mode_still_bit_identical_to_scalar(self):
-        bound = BootstrapBound(n_resamples=50, seed=11)
-        assert not bound.share_matrix
-        values = self._sample()
-        counts = np.array([0, 1, 50, 200, 400])
-        for side in ("lower", "upper"):
-            batch = getattr(bound, f"{side}_batch")(values, counts, 0.05)
-            reference = _scalar_reference(bound, values, counts, 0.05, side)
-            np.testing.assert_array_equal(batch, reference)
-
-    def test_shared_mode_agrees_within_tolerance(self):
-        """Shared-matrix quantiles estimate the same bootstrap
-        distribution; with 2000 resamples they must sit within a few
-        multiples of the resampling noise of the scalar values."""
-        values = self._sample()
-        counts = np.array([50, 200, 400])
-        scalar = BootstrapBound(n_resamples=2000, seed=3)
-        shared = BootstrapBound(n_resamples=2000, seed=3, share_matrix=True)
-        for side in ("lower", "upper"):
-            reference = _scalar_reference(scalar, values, counts, 0.05, side)
-            batch = getattr(shared, f"{side}_batch")(values, counts, 0.05)
-            np.testing.assert_allclose(batch, reference, atol=0.02)
-
-    def test_shared_mode_is_deterministic(self):
-        values = self._sample()
-        counts = np.array([10, 100, 400, 100])
-        a = BootstrapBound(n_resamples=100, seed=5, share_matrix=True)
-        b = BootstrapBound(n_resamples=100, seed=5, share_matrix=True)
-        np.testing.assert_array_equal(
-            a.lower_batch(values, counts, 0.1), b.lower_batch(values, counts, 0.1)
-        )
-
-    def test_shared_mode_empty_suffix_semantics(self):
-        bound = BootstrapBound(n_resamples=20, share_matrix=True)
-        values = np.array([0.2, 0.8, 1.0])
-        assert bound.lower_batch(values, np.array([0]), 0.05)[0] == -np.inf
-        assert bound.upper_batch(values, np.array([0]), 0.05)[0] == np.inf
-
-    def test_shared_mode_equal_lengths_share_values(self):
-        """Suffixes of equal length must report identical bounds (one
-        quantile per distinct length, as in the default mode)."""
-        bound = BootstrapBound(n_resamples=50, share_matrix=True)
-        values = self._sample(n=120)
-        out = bound.upper_batch(values, np.array([30, 60, 30]), 0.05)
-        assert out[0] == out[2]
-
-    def test_shared_mode_scalar_api_unchanged(self):
-        """share_matrix only changes the batch API; the scalar methods
-        stay bit-identical to the default configuration."""
-        values = self._sample(n=80)
-        default = BootstrapBound(n_resamples=60, seed=2)
-        shared = BootstrapBound(n_resamples=60, seed=2, share_matrix=True)
-        assert default.lower(values, 0.05) == shared.lower(values, 0.05)
-        assert default.upper(values, 0.05) == shared.upper(values, 0.05)
+def test_default_mode_still_bit_identical_to_scalar():
+    bound = BootstrapBound(n_resamples=50, seed=11)
+    values = (np.random.default_rng(8).random(400) < 0.3).astype(float)
+    counts = np.array([0, 1, 50, 200, 400])
+    for side in ("lower", "upper"):
+        batch = getattr(bound, f"{side}_batch")(values, counts, 0.05)
+        reference = _scalar_reference(bound, values, counts, 0.05, side)
+        np.testing.assert_array_equal(batch, reference)
 
 
 def test_empty_suffix_semantics():

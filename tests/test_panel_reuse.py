@@ -71,8 +71,9 @@ class TestCompareMethodsTrialOuter:
         assert context.store.hits == trials * 2
 
     def test_records_identical_to_per_method_loops(self, workload):
-        """The panel (with or without sharing, any n_jobs) is pinned to
-        the pre-refactor shape: one independent run_trials per method."""
+        """The store-shared panel (any n_jobs) is pinned to the
+        pre-refactor shape: one independent, freshly drawing run_trials
+        per method."""
         query = ApproxQuery.recall_target(0.9, 0.05, 300)
         panel = _bound_panel(query)
         reference = {
@@ -82,10 +83,8 @@ class TestCompareMethodsTrialOuter:
             for label, factory in panel.items()
         }
         shared = compare_methods(panel, workload, trials=5, base_seed=3)
-        fresh = compare_methods(panel, workload, trials=5, base_seed=3, share_samples=False)
         parallel = compare_methods(panel, workload, trials=5, base_seed=3, n_jobs=3)
         assert shared == reference
-        assert fresh == reference
         assert parallel == reference
 
     def test_rejects_context_plus_store_dir(self, workload, tmp_path):
@@ -94,25 +93,6 @@ class TestCompareMethodsTrialOuter:
             compare_methods(
                 _bound_panel(query), workload, trials=2,
                 context=ExecutionContext(), store_dir=str(tmp_path),
-            )
-
-    def test_rejects_context_without_sharing(self, workload):
-        query = ApproxQuery.recall_target(0.9, 0.05, 200)
-        with pytest.raises(ValueError, match="share_samples"):
-            compare_methods(
-                _bound_panel(query), workload, trials=2,
-                context=ExecutionContext(), share_samples=False,
-            )
-
-    def test_rejects_store_dir_without_sharing(self, workload, tmp_path):
-        """share_samples=False would never touch the store, so pairing
-        it with store_dir must fail loudly rather than leave the spill
-        directory silently empty."""
-        query = ApproxQuery.recall_target(0.9, 0.05, 200)
-        with pytest.raises(ValueError, match="spilled"):
-            compare_methods(
-                _bound_panel(query), workload, trials=2,
-                share_samples=False, store_dir=str(tmp_path),
             )
 
     def test_store_dir_shares_labels_across_calls(self, workload, tmp_path):

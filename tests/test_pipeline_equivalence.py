@@ -220,7 +220,8 @@ class TestSweepSampleReuse:
     def test_sweep_runner_uses_one_draw_per_seed(self, workload):
         """The rebuilt sweep() draws once per seed for reusable selectors
         (asserted via the store's oracle-draw counter) and returns
-        summaries bit-identical to fresh per-gamma draws."""
+        summaries bit-identical to fresh per-gamma draws (the legacy
+        loops)."""
         trials = 3
         base_query = ApproxQuery.recall_target(0.9, 0.05, 400)
 
@@ -233,12 +234,6 @@ class TestSweepSampleReuse:
         )
         assert context.store.misses == trials
         assert context.store.hits == trials * (len(GAMMAS) - 1)
-
-        fresh = sweep(
-            factory_for_gamma, GAMMAS, workload, trials=trials, base_seed=3,
-            share_samples=False,
-        )
-        assert shared == fresh
 
         # Legacy shape: independent per-gamma trial loops.
         legacy = [
@@ -265,18 +260,6 @@ class TestSweepSampleReuse:
         context = ExecutionContext()
         sweep(factory_for_gamma, GAMMAS, workload, trials=1, n_jobs=4, context=context)
         assert context.store.misses == 1
-
-    def test_sweep_rejects_context_without_sharing(self, workload):
-        base_query = ApproxQuery.recall_target(0.9, 0.05, 300)
-
-        def factory_for_gamma(gamma):
-            return lambda: make_selector("u-ci-r", base_query.with_gamma(gamma))
-
-        with pytest.raises(ValueError, match="share_samples"):
-            sweep(
-                factory_for_gamma, GAMMAS, workload, trials=2,
-                share_samples=False, context=ExecutionContext(),
-            )
 
     def test_run_trials_rejects_context_with_parallel_jobs(self, workload):
         query = ApproxQuery.recall_target(0.9, 0.05, 300)

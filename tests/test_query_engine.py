@@ -138,11 +138,6 @@ class TestSession:
         assert cached.result.tau == fresh.result.tau
         assert dict(cached.result.details) == dict(fresh.result.details)
 
-    def test_reuse_samples_opt_out(self, engine):
-        engine.execute(RT_SQL, seed=0, reuse_samples=False)
-        engine.execute(RT_SQL, seed=0, reuse_samples=False)
-        assert engine.session_stats()["misses"] == 0
-
     def test_oracle_udf_bypasses_store(self, beta_dataset):
         eng = SupgEngine()
         eng.register_table("video", beta_dataset)

@@ -172,14 +172,6 @@ class TestOneDrawPerDistinctDesign:
         stats = second.session_stats()
         assert stats["labels_drawn"] == 0 and stats["disk_hits"] == 2
 
-    def test_reuse_samples_opt_out_skips_store(self, beta_dataset):
-        engine = _engine(beta_dataset)
-        batch = engine.execute_many(MIXED_BATCH, seed=3, reuse_samples=False)
-        assert engine.session_stats()["misses"] == 0
-        _assert_executions_equal(
-            batch, _engine(beta_dataset).execute_many(MIXED_BATCH, seed=3)
-        )
-
     def test_oracle_udf_statements_stay_unplanned(self, beta_dataset):
         engine = _engine(beta_dataset)
         engine.register_oracle_udf("P", lambda ds, idx: ds.labels[idx])

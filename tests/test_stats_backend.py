@@ -30,7 +30,7 @@ from repro.core.stats_backend import (
     weight_stat_name,
 )
 from repro.core.pipeline import SampleStore
-from repro.core.zonemap import MIN_INDEXED_SIZE
+from repro.core.zonemap import MIN_INDEXED_SIZE, ScoreZoneMap
 from repro.datasets import Dataset, make_beta_dataset
 from repro.faults import FaultPlan, corrupt_statistic, inject
 from repro.query import SupgEngine
@@ -48,6 +48,17 @@ PT = (
 
 def make_dataset(size=MIN_INDEXED_SIZE, seed=3):
     return make_beta_dataset(0.01, 1.0, size=size, seed=seed)
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("a warm zone-map file must be read, not rebuilt")
+
+
+def _map_bytes(zone_map):
+    return [
+        getattr(zone_map, name).tobytes()
+        for name in ("offsets", "lows", "highs", "score_mass")
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -144,15 +155,17 @@ class TestBackendParity:
         assert isinstance(weights, np.memmap)
         assert not weights.flags.writeable
 
-    def test_warm_files_skip_construction(self, tmp_path):
+    def test_warm_files_skip_construction(self, tmp_path, monkeypatch):
         data = make_dataset(size=40000)
         first = DiskBackend(tmp_path, chunk_records=8192)
         data.use_backend(first)
         data.sorted_scores
         data.sampling_weights(0.5, 0.1)
+        data.zone_map
         assert first.counters["sorts_performed"] == 1
         # Fresh dataset object + fresh backend over the same directory:
         # everything is served from the warm files, zero construction.
+        monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
         clone = make_dataset(size=40000)
         warm = DiskBackend(tmp_path, chunk_records=8192)
         clone.use_backend(warm)
@@ -162,6 +175,7 @@ class TestBackendParity:
             clone.sampling_weights(0.5, 0.1).tobytes()
             == data.sampling_weights(0.5, 0.1).tobytes()
         )
+        assert _map_bytes(clone.zone_map) == _map_bytes(data.zone_map)
         assert warm.counters["sorts_performed"] == 0
         assert warm.counters["weight_passes"] == 0
 
@@ -204,16 +218,16 @@ def _has_vm_hwm() -> bool:
         return False
 
 
-#: A fresh interpreter opens the sort files as memmaps plus the zone-map
-#: sidecar, runs paged scans, and reports the growth of its own resident
-#: high-water mark.  ``VmHWM`` belongs to the new process image, whereas
-#: ``ru_maxrss`` carries the parent's peak across fork and exec and so
-#: reads no growth whatever the scans allocate.
+#: A fresh interpreter opens the sort files as memmaps, reads the zone
+#: map through the disk backend, runs paged scans, and reports the growth
+#: of its own resident high-water mark.  ``VmHWM`` belongs to the new
+#: process image, whereas ``ru_maxrss`` carries the parent's peak across
+#: fork and exec and so reads no growth whatever the scans allocate.
 _PAGED_SCAN_CHILD = """\
 import hashlib, json, sys
+from types import SimpleNamespace
 import numpy as np
 from repro.core.stats_backend import DiskBackend
-from repro.core.zonemap import ScoreZoneMap
 
 def vm_hwm_kib():
     with open("/proc/self/status") as handle:
@@ -226,7 +240,9 @@ backend = DiskBackend(store)
 baseline_kib = vm_hwm_kib()
 sorted_scores = np.load(backend.stat_path(fingerprint, "sorted-scores"), mmap_mode="r")
 score_order = np.load(backend.stat_path(fingerprint, "score-order"), mmap_mode="r")
-zone_map = ScoreZoneMap.load_sidecar(store, fingerprint, size)
+# No scores in this process: a warm zone-map file needs only the
+# fingerprint and the record count.
+zone_map = backend.zone_map(SimpleNamespace(fingerprint=fingerprint, size=size))
 counters = {"bytes_paged": 0}
 digests = []
 for tau in map(float, sys.argv[4:]):
@@ -243,8 +259,7 @@ class TestBoundedMemory:
         size = 1_000_000
         data = make_dataset(size=size)
         data.use_backend(DiskBackend(tmp_path, chunk_records=1 << 18))
-        data.prime_zone_map(tmp_path)
-        assert data.zone_map is not None  # writes the sort files and the sidecar
+        assert data.zone_map is not None  # writes the sort and zone-map files
         footprint = sum(entry["bytes"] for entry in statistic_entries(tmp_path))
         taus = [float(data.sorted_scores[int(size * (1 - frac))]) for frac in (0.001, 0.01)]
         expected = [
@@ -273,21 +288,25 @@ class TestCorruptionRecovery:
     @pytest.mark.parametrize("mode", ["truncate", "garbage"])
     def test_quarantine_and_rebuild(self, tmp_path, mode):
         data = make_dataset(size=40000)
-        DiskBackend(tmp_path, chunk_records=8192).sorted_scores(data)
+        first = DiskBackend(tmp_path, chunk_records=8192)
+        first.sorted_scores(data)
         reference = np.sort(data.proxy_scores).tobytes()
-        corrupted = corrupt_statistic(tmp_path, which=1, mode=mode)  # sorted-scores
-        assert "sorted-scores" in corrupted.name
+        reference_map = _map_bytes(first.zone_map(data))
+        # Files sort as score-order, sorted-scores, zone-map.
+        corrupted = [corrupt_statistic(tmp_path, which=which, mode=mode) for which in (1, 2)]
+        assert "sorted-scores" in corrupted[0].name
+        assert "zone-map" in corrupted[1].name
         backend = DiskBackend(tmp_path, chunk_records=8192)
-        rebuilt = backend.sorted_scores(make_dataset(size=40000))
-        assert rebuilt.tobytes() == reference
-        assert backend.counters["stats_quarantined"] == 1
+        clone = make_dataset(size=40000).use_backend(backend)
+        assert clone.sorted_scores.tobytes() == reference
+        assert _map_bytes(clone.zone_map) == reference_map
+        assert backend.counters["stats_quarantined"] == 2
         assert backend.counters["sorts_performed"] == 1
         quarantine = tmp_path / "quarantine"
-        assert (quarantine / corrupted.name).exists()
-        report = json.loads(
-            (quarantine / (corrupted.name + ".reason.json")).read_text()
-        )
-        assert report["file"] == corrupted.name
+        for path in corrupted:
+            assert (quarantine / path.name).exists()
+            report = json.loads((quarantine / (path.name + ".reason.json")).read_text())
+            assert report["file"] == path.name
 
     def test_stale_fingerprint_is_quarantined(self, tmp_path):
         data = make_dataset(size=40000)
@@ -396,27 +415,49 @@ class TestEngineIntegration:
         assert isinstance(data.sorted_scores, np.memmap)
         assert isinstance(data.score_order, np.memmap)
 
-    def test_lazy_priming_zero_redundant_sorts(self, tmp_path):
-        """The latent-issue fix: a warm store costs zero sorts.
+    def test_lazy_priming_zero_redundant_sorts(self, tmp_path, monkeypatch):
+        """A warm store costs zero sorts, weight passes and index builds.
 
         First session pays one sort (plus the index build); a second
-        session over the same store dir answers a query without ever
-        sorting — the sidecar serves the zone map and the statistic
-        files serve the sorted arrays.
+        session over the same store dir answers an RT and a PT query
+        without ever sorting or building — the statistic files serve
+        the sorted arrays, the weights and the zone map.
         """
         first = SupgEngine(store_dir=str(tmp_path), backend="disk")
-        first.register_table("t", make_dataset())
-        # Registration alone computes nothing.
+        data = make_dataset()
+        first.register_table("t", data)
+        # Registration alone computes nothing: no sort, no index, no file.
         assert first.backend_stats()["sorts_performed"] == 0
-        baseline = first.execute(RT.format(gamma=90), seed=2)
+        assert "zone_map" not in data.__dict__
+        assert not any(tmp_path.iterdir())
+        queries = (RT.format(gamma=90), PT)
+        baseline = [first.execute(query, seed=2) for query in queries]
         assert first.backend_stats()["sorts_performed"] == 1
+        monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
         second = SupgEngine(store_dir=str(tmp_path), backend="disk")
         second.register_table("t", make_dataset())
-        warm = second.execute(RT.format(gamma=90), seed=2)
+        warm = [second.execute(query, seed=2) for query in queries]
         stats = second.session_stats()
         assert stats["sorts_performed"] == 0
         assert stats["weight_passes"] == 0
-        assert warm.result.indices.tobytes() == baseline.result.indices.tobytes()
+        for cold, hot in zip(baseline, warm):
+            assert hot.result.indices.tobytes() == cold.result.indices.tobytes()
+            assert hot.result.tau == cold.result.tau
+
+    def test_reregistered_dataset_leaves_first_store_untouched(self, tmp_path):
+        """Statistics follow the backend a dataset is registered with
+        last: a dataset registered over store A, then over store B, and
+        queried through B writes nothing into A."""
+        store_a, store_b = tmp_path / "a", tmp_path / "b"
+        data = make_dataset()
+        SupgEngine(store_dir=str(store_a), backend="disk").register_table("t", data)
+        engine_b = SupgEngine(store_dir=str(store_b), backend="disk")
+        engine_b.register_table("t", data)
+        engine_b.execute(RT.format(gamma=90), seed=0)
+        assert list(store_a.rglob("*")) == []
+        assert {entry["stat"] for entry in statistic_entries(store_b)} >= {
+            "sorted-scores", "score-order", "zone-map"
+        }
 
     def test_session_stats_carry_backend_counters(self, tmp_path):
         engine = SupgEngine(store_dir=str(tmp_path), backend="disk")

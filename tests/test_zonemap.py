@@ -2,18 +2,21 @@
 
 The index is a pure performance structure: every test here ultimately
 pins the same contract — indexed lookups are byte-identical to the
-dense O(n) passes they replace — plus the lifecycle around it (sidecar
-persistence, engine telemetry, fork workers under ``jobs > 1``).
+dense O(n) passes they replace — plus the lifecycle around it
+(persistence in the disk statistics backend, engine telemetry, fork
+workers under ``jobs > 1``).
 """
+
+import json
 
 import numpy as np
 import pytest
 
+from repro.core.stats_backend import ZONE_MAP_STAT, DiskBackend, statistic_entries
 from repro.core.thresholds import SELECT_EVERYTHING, SELECT_NOTHING
 from repro.core.zonemap import (
     DEFAULT_STRATUM_SIZE,
     MIN_INDEXED_SIZE,
-    SIDECAR_FORMAT_VERSION,
     ScoreZoneMap,
     SkipEstimate,
 )
@@ -170,57 +173,68 @@ class TestPlanEstimate:
         assert "zonemap" in estimate.render()
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("a warm zone-map file must be read, not rebuilt")
+
+
+def _map_bytes(zone_map):
+    return [
+        getattr(zone_map, name).tobytes()
+        for name in ("offsets", "lows", "highs", "score_mass")
+    ]
+
+
 class TestSidecar:
-    def test_round_trip(self, dataset, tmp_path):
-        zone_map = dataset.zone_map
-        path = zone_map.save_sidecar(tmp_path, dataset.fingerprint)
-        assert path is not None and path.exists()
-        loaded = ScoreZoneMap.load_sidecar(
-            tmp_path, dataset.fingerprint, expected_size=len(dataset)
-        )
-        assert loaded is not None
-        np.testing.assert_array_equal(loaded.offsets, zone_map.offsets)
-        np.testing.assert_array_equal(loaded.lows, zone_map.lows)
-        np.testing.assert_array_equal(loaded.highs, zone_map.highs)
-        np.testing.assert_array_equal(loaded.score_mass, zone_map.score_mass)
+    """The zone map's persisted form: a disk-backend statistic file that
+    its ``.meta.json`` sidecar validates (format version, fingerprint,
+    length) before it is served; anything else is quarantined and the
+    map rebuilt."""
+
+    def _forge(self, dataset, tmp_path, **meta_fields):
+        """Persist the dataset's map, then overwrite sidecar fields."""
+        backend = DiskBackend(tmp_path)
+        backend.zone_map(dataset)
+        path = backend.stat_path(dataset.fingerprint, ZONE_MAP_STAT)
+        meta_path = path.with_name(path.name + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta.update(meta_fields)
+        meta_path.write_text(json.dumps(meta))
+        return path
+
+    def _assert_rebuilt(self, dataset, tmp_path):
+        backend = DiskBackend(tmp_path)
+        assert _map_bytes(backend.zone_map(dataset)) == _map_bytes(dataset.zone_map)
+        assert backend.counters["stats_quarantined"] == 1
+
+    def test_round_trip(self, dataset, tmp_path, monkeypatch):
+        DiskBackend(tmp_path).zone_map(dataset)
+        monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
+        loaded = DiskBackend(tmp_path).zone_map(dataset)
+        assert _map_bytes(loaded) == _map_bytes(dataset.zone_map)
 
     def test_rejects_foreign_fingerprint(self, dataset, tmp_path):
-        dataset.zone_map.save_sidecar(tmp_path, dataset.fingerprint)
-        assert ScoreZoneMap.load_sidecar(tmp_path, "deadbeef" * 5) is None
+        self._forge(dataset, tmp_path, fingerprint="deadbeef" * 8)
+        self._assert_rebuilt(dataset, tmp_path)
 
     def test_rejects_size_mismatch(self, dataset, tmp_path):
-        dataset.zone_map.save_sidecar(tmp_path, dataset.fingerprint)
-        assert (
-            ScoreZoneMap.load_sidecar(
-                tmp_path, dataset.fingerprint, expected_size=len(dataset) + 1
-            )
-            is None
-        )
+        path = self._forge(dataset, tmp_path)
+        np.save(path, np.load(path)[:-1])
+        self._assert_rebuilt(dataset, tmp_path)
 
     def test_rejects_stale_format(self, dataset, tmp_path):
-        zone_map = dataset.zone_map
-        path = ScoreZoneMap.sidecar_path(tmp_path, dataset.fingerprint)
-        np.savez(
-            path,
-            format_version=np.asarray(SIDECAR_FORMAT_VERSION + 1),
-            fingerprint=np.asarray(dataset.fingerprint),
-            size=np.asarray(len(dataset)),
-            offsets=zone_map.offsets,
-            lows=zone_map.lows,
-            highs=zone_map.highs,
-            score_mass=zone_map.score_mass,
-        )
-        assert ScoreZoneMap.load_sidecar(tmp_path, dataset.fingerprint) is None
-        [entry] = ScoreZoneMap.sidecar_entries(tmp_path)
-        assert entry["stale"] is True
+        self._forge(dataset, tmp_path, format_version=-1)
+        [entry] = statistic_entries(tmp_path)
+        assert entry["state"] == "stale"
+        self._assert_rebuilt(dataset, tmp_path)
 
     def test_entries_report_corruption(self, tmp_path):
-        (tmp_path / "zonemap-bad.npz").write_bytes(b"not an npz")
-        [entry] = ScoreZoneMap.sidecar_entries(tmp_path)
-        assert "error" in entry
+        name = DiskBackend.stat_filename("bad" * 8, ZONE_MAP_STAT)
+        (tmp_path / name).write_bytes(b"not an npy")
+        [entry] = statistic_entries(tmp_path)
+        assert "error" in entry and entry["state"] == "stale"
 
     def test_entries_missing_dir(self, tmp_path):
-        assert ScoreZoneMap.sidecar_entries(tmp_path / "absent") == []
+        assert statistic_entries(tmp_path / "absent") == []
 
 
 class TestEngineTelemetry:
@@ -241,22 +255,22 @@ class TestEngineTelemetry:
 
     def test_sidecar_written_and_reused(self, tmp_path):
         data = make_beta_dataset(0.01, 1.0, size=MIN_INDEXED_SIZE, seed=9)
-        engine = SupgEngine(store_dir=str(tmp_path))
+        engine = SupgEngine(store_dir=str(tmp_path), backend="disk")
         engine.register_table("t", data)
-        path = ScoreZoneMap.sidecar_path(tmp_path, data.fingerprint)
-        # Registration is lazy: it arms sidecar priming but forces
-        # neither the sort nor the index build.
+        path = engine.stats_backend.stat_path(data.fingerprint, ZONE_MAP_STAT)
+        # Registration is lazy: it forces neither the sort nor the
+        # index build.
         assert not path.exists()
         assert "zone_map" not in data.__dict__
         assert "sorted_scores" not in data.__dict__
-        # First use builds the index and persists the sidecar.
+        # First use builds the index and persists it with its sidecar.
         assert data.zone_map is not None
-        assert path.exists()
-        # A second engine (fresh dataset object, same content) primes
-        # from the sidecar on first access, never sorting at all.
+        assert path.exists() and path.with_name(path.name + ".meta.json").exists()
+        # A second engine (fresh dataset object, same content) reads the
+        # index from the file on first access, never sorting at all.
         clone = make_beta_dataset(0.01, 1.0, size=MIN_INDEXED_SIZE, seed=9)
         assert "zone_map" not in clone.__dict__
-        engine2 = SupgEngine(store_dir=str(tmp_path))
+        engine2 = SupgEngine(store_dir=str(tmp_path), backend="disk")
         engine2.register_table("t", clone)
         zone_map = clone.zone_map
         assert zone_map is not None
@@ -265,9 +279,13 @@ class TestEngineTelemetry:
         np.testing.assert_array_equal(zone_map.offsets, data.zone_map.offsets)
 
     def test_small_dataset_not_indexed_by_engine(self, tiny_dataset, tmp_path):
-        engine = SupgEngine(store_dir=str(tmp_path))
-        engine.register_table("t", tiny_dataset)
-        assert not ScoreZoneMap.sidecar_path(tmp_path, tiny_dataset.fingerprint).exists()
+        # A copy, so the shared fixture keeps its in-memory backend.
+        data = Dataset(tiny_dataset.proxy_scores, tiny_dataset.labels)
+        engine = SupgEngine(store_dir=str(tmp_path), backend="disk")
+        engine.register_table("t", data)
+        assert data.zone_map is None
+        path = engine.stats_backend.stat_path(data.fingerprint, ZONE_MAP_STAT)
+        assert not path.exists()
 
 
 class TestParallelBitIdentity:
