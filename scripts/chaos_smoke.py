@@ -365,7 +365,7 @@ def run_backend_corruption_pass(
         "t", load_dataset("beta(0.01,1)", size=size, seed=7)
     )
     recovered = run(recovery_engine)
-    stats = recovery_engine.backend_stats()
+    stats = recovery_engine.session_stats()
 
     if recovered != baseline:
         failures.append(

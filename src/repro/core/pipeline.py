@@ -79,6 +79,8 @@ counters (spills, disk hits, evictions) are kept best-effort in a
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import json
 import os
@@ -87,7 +89,7 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -107,6 +109,7 @@ __all__ = [
     "StageRuntime",
     "materialize_selection",
     "ground_truth_labeler",
+    "label_tally",
     "quarantine_file",
 ]
 
@@ -131,6 +134,31 @@ QUARANTINE_DIRNAME = "quarantine"
 #: Sidecar file holding best-effort cumulative counters for a
 #: ``store_dir`` (spills, disk hits, evictions) across processes.
 STATS_FILENAME = "store-stats.json"
+
+#: The :func:`label_tally` open in the current thread, or ``None``.
+_TALLY: "contextvars.ContextVar[dict[str, int] | None]" = contextvars.ContextVar(
+    "label_tally", default=None
+)
+
+
+@contextlib.contextmanager
+def label_tally() -> Iterator[dict[str, int]]:
+    """Count the labels that this thread's store fetches draw and are served.
+
+    Yields ``{"labels_drawn": 0, "labels_saved": 0}``.  Until the block
+    exits, every :meth:`SampleStore.fetch` made on this thread adds to
+    it exactly what it adds to its store's own counters.  A service
+    window opens one around its prewarm and its executions, so its
+    record counts its own work even while concurrent windows share the
+    store.  Fetches inside forked workers count into the worker's copy,
+    which dies with the worker, as the store's own counts do.
+    """
+    counts = {"labels_drawn": 0, "labels_saved": 0}
+    token = _TALLY.set(counts)
+    try:
+        yield counts
+    finally:
+        _TALLY.reset(token)
 
 
 def quarantine_file(path: Path, reason: str, **report: object) -> bool:
@@ -271,24 +299,34 @@ class SampleStore:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.hits += 1
-                self.labels_saved += entry.oracle_calls
+                self._charge(saved=entry.oracle_calls)
                 return entry
             if self.store_dir is not None:
                 spilled = self._load_spill(dataset.fingerprint, design, int(seed))
                 if spilled is not None:
                     self.disk_hits += 1
-                    self.labels_saved += spilled.oracle_calls
+                    self._charge(saved=spilled.oracle_calls)
                     self._insert(key, spilled)
                     self._bump_persistent_stats(disk_hits=1)
                     return spilled
             rng = np.random.default_rng(int(seed))
             sample = self._draw_fresh(design, dataset, rng)
             self.misses += 1
-            self.labels_drawn += sample.oracle_calls
+            self._charge(drawn=sample.oracle_calls)
             self._insert(key, sample)
             if self.store_dir is not None:
                 self._write_spill(dataset.fingerprint, design, int(seed), sample)
             return sample
+
+    def _charge(self, drawn: int = 0, saved: int = 0) -> None:
+        """Count labels drawn and served, here and in the
+        :func:`label_tally` open in this thread, if any."""
+        self.labels_drawn += drawn
+        self.labels_saved += saved
+        tally = _TALLY.get()
+        if tally is not None:
+            tally["labels_drawn"] += drawn
+            tally["labels_saved"] += saved
 
     def locate(self, fingerprint: str, design: SampleDesign, seed: int) -> str | None:
         """Which tier could serve a key right now, without drawing.

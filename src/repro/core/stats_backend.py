@@ -59,7 +59,7 @@ import numpy as np
 from numpy.lib.format import open_memmap
 
 from .pipeline import quarantine_file
-from .zonemap import ScoreZoneMap, stratum_offsets
+from .zonemap import ZONE_MAP_COUNTERS, ScoreZoneMap, stratum_offsets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datasets.base import Dataset
@@ -106,14 +106,15 @@ _NUMPY_PAIRWISE_BLOCK = 128
 
 
 def _fresh_counters() -> dict[str, int]:
-    return {
-        "sorts_performed": 0,
-        "weight_passes": 0,
-        "chunks_merged": 0,
-        "bytes_paged": 0,
-        "peak_chunk_bytes": 0,
-        "stats_quarantined": 0,
-    }
+    counters = dict.fromkeys(ZONE_MAP_COUNTERS, 0)
+    counters.update(
+        sorts_performed=0,
+        weight_passes=0,
+        chunks_merged=0,
+        peak_chunk_bytes=0,
+        stats_quarantined=0,
+    )
+    return counters
 
 
 def _note_chunk(counters: dict[str, int] | None, nbytes: int) -> None:
@@ -346,15 +347,16 @@ class StatisticsBackend:
     :class:`~repro.core.zonemap.ScoreZoneMap` (its arrays are tiny);
     the dataset applies the ``MIN_INDEXED_SIZE`` gate before asking.
 
-    ``counters`` is a plain dict surfaced through
-    ``SupgEngine.session_stats()``: construction work
+    ``counters`` is one plain dict, cumulative over the backend's life,
+    that ``SupgEngine.session_stats()`` reads as is: construction work
     (``sorts_performed``, ``weight_passes``, ``chunks_merged``,
-    ``peak_chunk_bytes``), scan paging (``bytes_paged``, fed by the zone
-    map's paged select path), and integrity events
-    (``stats_quarantined``).
+    ``peak_chunk_bytes``), integrity events (``stats_quarantined``), and
+    the scans of every zone map the backend served
+    (:data:`~repro.core.zonemap.ZONE_MAP_COUNTERS`, ``bytes_paged``
+    included).  Those maps count straight into this dict, so their
+    counts survive a table being registered again or replaced.
     """
 
-    kind = "abstract"
     #: Whether statistics come back as file-backed memmap windows.  The
     #: dataset routes threshold scans through the zone map's *paged*
     #: select path when true, so a scan touches only the strata the tau
@@ -378,15 +380,9 @@ class StatisticsBackend:
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
         raise NotImplementedError
 
-    def describe(self) -> dict[str, object]:
-        """Counters plus identity, for ``session_stats()``."""
-        return {"backend": self.kind, **self.counters}
-
 
 class InMemoryBackend(StatisticsBackend):
     """The historical RAM path, bit for bit."""
-
-    kind = "memory"
 
     def sorted_scores(self, dataset: "Dataset") -> np.ndarray:
         self.counters["sorts_performed"] += 1
@@ -413,7 +409,9 @@ class InMemoryBackend(StatisticsBackend):
         return out
 
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
-        return ScoreZoneMap.build(dataset.sorted_scores)
+        zone_map = ScoreZoneMap.build(dataset.sorted_scores)
+        zone_map.counters = self.counters
+        return zone_map
 
 
 class DiskBackend(StatisticsBackend):
@@ -432,7 +430,6 @@ class DiskBackend(StatisticsBackend):
     exception: it is read into RAM, since its arrays are tiny.
     """
 
-    kind = "disk"
     paged = True
 
     def __init__(self, directory, chunk_records: int = DEFAULT_CHUNK_RECORDS) -> None:
@@ -484,8 +481,11 @@ class DiskBackend(StatisticsBackend):
         fingerprint = dataset.fingerprint
         view = self._open(fingerprint, ZONE_MAP_STAT, 3 * strata, np.float64)
         if view is not None:
-            return ScoreZoneMap(offsets, *np.array(view).reshape(3, strata))
+            zone_map = ScoreZoneMap(offsets, *np.array(view).reshape(3, strata))
+            zone_map.counters = self.counters
+            return zone_map
         zone_map = ScoreZoneMap.build(dataset.sorted_scores)
+        zone_map.counters = self.counters
         summaries = np.concatenate([zone_map.lows, zone_map.highs, zone_map.score_mass])
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = self._scratch_path(ZONE_MAP_STAT)

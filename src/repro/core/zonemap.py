@@ -58,6 +58,7 @@ __all__ = [
     "DEFAULT_STRATUM_SIZE",
     "DENSE_FALLBACK_FRACTION",
     "MIN_INDEXED_SIZE",
+    "ZONE_MAP_COUNTERS",
     "ScoreZoneMap",
     "SkipEstimate",
     "stratum_offsets",
@@ -77,6 +78,17 @@ MIN_INDEXED_SIZE = 4 * DEFAULT_STRATUM_SIZE
 #: back to the dense boolean mask: one vectorized O(n) compare beats
 #: radix-sorting an O(n)-sized index tail.
 DENSE_FALLBACK_FRACTION = 0.25
+
+#: The scan counters a zone map adds to: indexed selects, strata read,
+#: records never visited, dense fallbacks, and the bytes a paged select
+#: faults in.  Every statistics backend's ``counters`` holds these keys.
+ZONE_MAP_COUNTERS = (
+    "zonemap_selects",
+    "strata_touched",
+    "records_skipped",
+    "zonemap_dense_fallbacks",
+    "bytes_paged",
+)
 
 
 def stratum_offsets(size: int, stratum_size: int = DEFAULT_STRATUM_SIZE) -> np.ndarray:
@@ -126,11 +138,13 @@ class ScoreZoneMap:
     score arrays themselves stay on the dataset — so instances are cheap
     to inherit, pickle, and persist.
 
-    Per-process telemetry accrues in :attr:`counters` (aggregated into
-    ``SupgEngine.session_stats()``); counts from forked workers die
-    with the worker, so the totals reflect parent-process selections —
-    prewarm, sequential execution, and recovery — which is where the
-    skipped work was previously spent.
+    Scan telemetry accrues in :attr:`counters`.  A map served by a
+    statistics backend counts into that backend's ``counters`` dict
+    (which ``SupgEngine.session_stats()`` reads), so counts are
+    cumulative per backend and outlive the map; a map built directly
+    counts into a dict of its own.  Counts made in forked workers die
+    with the worker, so the totals reflect parent-process selections:
+    prewarm, sequential execution, and recovery.
     """
 
     def __init__(
@@ -158,12 +172,7 @@ class ScoreZoneMap:
         self.tail_mass = np.concatenate(
             [np.cumsum(self.score_mass[::-1])[::-1], [0.0]]
         )
-        self.counters: dict[str, int] = {
-            "zonemap_selects": 0,
-            "strata_touched": 0,
-            "records_skipped": 0,
-            "zonemap_dense_fallbacks": 0,
-        }
+        self.counters: dict[str, int] = dict.fromkeys(ZONE_MAP_COUNTERS, 0)
 
     # -- construction ----------------------------------------------------------
 
@@ -206,25 +215,6 @@ class ScoreZoneMap:
     def stratum_size(self) -> int:
         """Records per full stratum (the last stratum may be shorter)."""
         return int(self.offsets[1] - self.offsets[0])
-
-    @property
-    def nbytes(self) -> int:
-        """In-memory footprint of the shared index arrays."""
-        return int(
-            self.offsets.nbytes
-            + self.lows.nbytes
-            + self.highs.nbytes
-            + self.score_mass.nbytes
-        )
-
-    def describe(self) -> dict[str, int]:
-        """Summary dict for CLI and telemetry output."""
-        return {
-            "records": self.size,
-            "strata": self.strata,
-            "stratum_size": self.stratum_size,
-            "nbytes": self.nbytes,
-        }
 
     # -- skipping lookups ------------------------------------------------------
 
@@ -292,7 +282,6 @@ class ScoreZoneMap:
         tau: float,
         sorted_scores: np.ndarray,
         score_order: np.ndarray,
-        counters: dict[str, int] | None = None,
     ) -> np.ndarray:
         """Out-of-core ``select_above``: page in only what the tau cuts.
 
@@ -303,19 +292,17 @@ class ScoreZoneMap:
         ``score_order`` tail that *is* the selection; ``proxy_scores``
         is never touched and there is no dense-mask fallback, which
         over a memmap would fault in the entire column and defeat the
-        point.  When ``counters`` (a statistics backend's dict) is
-        given, ``bytes_paged`` accounts the faulted-in byte span.
+        point.  ``bytes_paged`` accounts the faulted-in byte span.
         """
         position, stratum = self.locate(tau, sorted_scores)
         selected = self.size - position
+        boundary = 0
+        if stratum < self.strata:
+            boundary = int(self.offsets[stratum + 1] - self.offsets[stratum])
         self.counters["zonemap_selects"] += 1
-        if counters is not None:
-            boundary = 0
-            if stratum < self.strata:
-                boundary = int(self.offsets[stratum + 1] - self.offsets[stratum])
-            counters["bytes_paged"] += (
-                boundary * sorted_scores.itemsize + selected * score_order.itemsize
-            )
+        self.counters["bytes_paged"] += (
+            boundary * sorted_scores.itemsize + selected * score_order.itemsize
+        )
         if selected == 0:
             self.counters["records_skipped"] += self.size
             return np.zeros(0, dtype=np.intp)

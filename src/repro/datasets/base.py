@@ -144,7 +144,9 @@ class Dataset:
 
         Attach before statistics are first touched: views already
         memoized are kept (they are bit-identical by contract), only
-        future computations route through the new provider.
+        future computations route through the new provider.  A zone
+        map memoized before the move is kept too, and keeps counting
+        its scans into the ``counters`` of the backend that built it.
         """
         self.__dict__["_stats_backend"] = backend
         return self
@@ -211,10 +213,12 @@ class Dataset:
 
         Tests and micro-benchmarks use this to exercise the indexed
         path on small datasets; production code reads :attr:`zone_map`.
+        The map counts its scans into the attached backend's ``counters``.
         """
         from ..core.zonemap import ScoreZoneMap
 
         zone_map = ScoreZoneMap.build(self.sorted_scores, stratum_size=stratum_size)
+        zone_map.counters = self.stats_backend.counters
         self.__dict__["zone_map"] = zone_map
         return zone_map
 
@@ -246,7 +250,7 @@ class Dataset:
         rebuilding them.  Returns how many cached statistics are
         file-backed (``np.memmap``), i.e. shared through the page cache.
         """
-        statistics = [self.sorted_scores, self.score_order, self.proxy_scores]
+        statistics = [self.sorted_scores, self.score_order]
         statistics.extend(self.__dict__.get("_weight_cache", {}).values())
         self.zone_map  # built, or read from its statistic file, in the parent
         return sum(isinstance(array, np.memmap) for array in statistics)
@@ -268,11 +272,8 @@ class Dataset:
         zone_map = self.zone_map
         if zone_map is None:
             return np.flatnonzero(self.proxy_scores >= tau)
-        backend = self.stats_backend
-        if backend.paged:
-            return zone_map.select_above_paged(
-                tau, self.sorted_scores, self.score_order, backend.counters
-            )
+        if self.stats_backend.paged:
+            return zone_map.select_above_paged(tau, self.sorted_scores, self.score_order)
         return zone_map.select_above(
             tau, self.sorted_scores, self.score_order, self.proxy_scores
         )

@@ -166,10 +166,9 @@ class SupgEngine:
             ``"disk"`` (fingerprint-keyed ``.npy`` files under the
             store directory, opened as read-only memmap windows;
             construction is chunked so peak RSS stays O(chunk_records)
-            rather than O(n)), or an already constructed
-            :class:`~repro.core.stats_backend.StatisticsBackend`.
-            ``"disk"`` requires a persistent ``store_dir``.  Query
-            results are byte-identical across backends.
+            rather than O(n)).  ``"disk"`` requires a persistent
+            ``store_dir``.  Query results are byte-identical across
+            backends.
         chunk_records: records per chunk for the disk backend's
             external sort and streaming weight passes (default
             :data:`~repro.core.stats_backend.DEFAULT_CHUNK_RECORDS`).
@@ -195,7 +194,7 @@ class SupgEngine:
         store_dir: str | None = None,
         retry_policy: RetryPolicy | None = None,
         data_plane: str | None = None,
-        backend: "str | StatisticsBackend | None" = None,
+        backend: str | None = None,
         chunk_records: int | None = None,
     ) -> None:
         if context is not None and store_dir is not None:
@@ -231,15 +230,8 @@ class SupgEngine:
         self._lock = ForkSafeLock()
 
     def _make_backend(
-        self, backend: "str | StatisticsBackend | None", chunk_records: int | None
+        self, backend: str | None, chunk_records: int | None
     ) -> StatisticsBackend:
-        if isinstance(backend, StatisticsBackend):
-            if chunk_records is not None:
-                raise ValueError(
-                    "chunk_records is part of the backend instance; pass "
-                    "DiskBackend(..., chunk_records=...) or the string 'disk'"
-                )
-            return backend
         if backend in (None, "memory"):
             if chunk_records is not None:
                 raise ValueError("chunk_records requires backend='disk'")
@@ -264,23 +256,18 @@ class SupgEngine:
 
     # -- registration ----------------------------------------------------------
 
-    def register_table(
-        self,
-        name: str,
-        dataset: Dataset,
-        backend: "StatisticsBackend | None" = None,
-    ) -> None:
+    def register_table(self, name: str, dataset: Dataset) -> None:
         """Register a dataset under a table name.
 
         The dataset's derived statistics, its zone map included, are
-        routed through the engine's statistics backend (or a per-table
-        ``backend`` override).  Nothing is sorted, built or written
-        here: the first query that needs a statistic asks the backend,
-        which over a warm disk store reads it without sorting.
+        routed through the engine's statistics backend.  Nothing is
+        sorted, built or written here: the first query that needs a
+        statistic asks the backend, which over a warm disk store reads
+        it without sorting.
         """
         if not name:
             raise ValueError("table name must be non-empty")
-        dataset.use_backend(backend if backend is not None else self._stats_backend)
+        dataset.use_backend(self._stats_backend)
         self._tables[name] = dataset
         self._invalidate_derived(table=name)
 
@@ -305,72 +292,29 @@ class SupgEngine:
         return self._context
 
     def session_stats(self) -> Mapping[str, int]:
-        """Sample-store reuse counters, fan-out transfer accounting,
-        zone-map skipping telemetry, and statistics-backend counters."""
-        stats = dict(self._context.stats())
-        stats.update(self.transfer_stats())
-        stats.update(self.skipping_stats())
-        stats.update(self.backend_stats())
+        """The session's counters, read straight from their three owners.
+
+        The sample store's :meth:`~repro.core.pipeline.SampleStore.stats`
+        (reuse and oracle-label accounting), the statistics backend's
+        ``counters`` (construction work, quarantines, and the scans of
+        every zone map it served, cumulative per backend), and the
+        fan-out's ``bytes_shipped`` (index bytes fork workers returned
+        over the pool pipe) and ``stats_inherited`` (file-backed
+        statistics they inherited instead of rebuilding).  Counts made
+        inside forked workers die with the worker, so every total
+        reflects parent-side work: prewarm, sequential execution, and
+        worker-death recovery.
+        """
+        stats = dict(self._context.store.stats())
+        stats.update(self._stats_backend.counters)
+        with self._lock:
+            stats.update(self._transfer)
         return stats
 
     @property
     def stats_backend(self) -> StatisticsBackend:
         """The session's statistics backend (registered tables share it)."""
         return self._stats_backend
-
-    def backend_stats(self) -> Mapping[str, int]:
-        """Statistics-backend counters for this session.
-
-        ``sorts_performed``/``weight_passes`` count constructions (a
-        warm disk file costs zero of either), ``chunks_merged`` and
-        ``peak_chunk_bytes`` describe external-sort work, ``bytes_paged``
-        accounts the bytes paged in by out-of-core threshold scans, and
-        ``stats_quarantined`` counts corrupt statistic files moved aside
-        and rebuilt.
-        """
-        return dict(self._stats_backend.counters)
-
-    def skipping_stats(self) -> Mapping[str, int]:
-        """Zone-map data-skipping counters, summed over session datasets.
-
-        ``zonemap_selects`` counts indexed ``select_above`` calls,
-        ``strata_touched``/``records_skipped`` the strata read and the
-        records those selections never visited, and
-        ``zonemap_dense_fallbacks`` the selections that reverted to the
-        dense scan (near-total selections).  Only maps already built in
-        this process are read (never forcing a build), so the totals
-        reflect parent-side work — prewarm, sequential execution, and
-        worker-death recovery; counts inside forked workers die with
-        the fork.
-        """
-        totals = {
-            "zonemap_selects": 0,
-            "strata_touched": 0,
-            "records_skipped": 0,
-            "zonemap_dense_fallbacks": 0,
-        }
-        seen: set[int] = set()
-        with self._lock:
-            datasets = list(self._tables.values()) + list(self._derived.values())
-        for dataset in datasets:
-            zone_map = dataset.__dict__.get("zone_map")
-            if zone_map is None or id(zone_map) in seen:
-                continue
-            seen.add(id(zone_map))
-            for key, value in zone_map.counters.items():
-                totals[key] = totals.get(key, 0) + int(value)
-        return totals
-
-    def transfer_stats(self) -> Mapping[str, int]:
-        """Fan-out counters for this engine session.
-
-        ``bytes_shipped`` sums the index-array bytes of the results fork
-        workers returned over the pool pipe; ``stats_inherited`` counts,
-        per fan-out, the file-backed (memmap) statistics of the batch's
-        datasets that workers inherited instead of rebuilding.
-        """
-        with self._lock:
-            return dict(self._transfer)
 
     def close(self) -> None:
         """No-op, kept for callers that close sessions: the engine holds
@@ -594,7 +538,7 @@ class SupgEngine:
         plan.prewarm(self._context.store)
         workers = effective_workers(jobs, len(compiled), "execute_many(jobs=...)")
         if workers > 1:
-            results, recovered = self._run_batches_parallel(
+            results, recovered, _ = self._run_batches_parallel(
                 compiled, plan, self._context, workers
             )
             if recovered:
@@ -620,7 +564,7 @@ class SupgEngine:
         plan: QueryPlan,
         context: ExecutionContext,
         workers: int,
-    ) -> tuple[list[SelectionResult], list[list[int]]]:
+    ) -> tuple[list[SelectionResult], list[list[int]], dict[str, int]]:
         """Fan the plan's independent batches across fork workers.
 
         Before forking, every distinct dataset in the batch computes the
@@ -634,9 +578,11 @@ class SupgEngine:
         unfaulted run.
 
         Returns:
-            ``(results, recovered_batches)`` — results in statement
-            order, plus the batches (execution-index lists) that had to
-            be re-executed after a worker death.
+            ``(results, recovered_batches, transfer)`` — results in
+            statement order, the batches (execution-index lists) that
+            had to be re-executed after a worker death, and this
+            fan-out's own ``bytes_shipped`` and ``stats_inherited``,
+            which are also added to the session totals.
         """
         batches = plan.batches()
         datasets = {id(job.dataset): job.dataset for job in compiled}
@@ -651,16 +597,19 @@ class SupgEngine:
         for batch, batch_results in zip(batches, per_batch):
             for index, result in zip(batch, batch_results):
                 results[index] = result
-        shipped = sum(
-            result.indices.nbytes + result.sampled_indices.nbytes
-            for position, batch_results in enumerate(per_batch)
-            if position not in recovered
-            for result in batch_results
-        )
+        transfer = {
+            "bytes_shipped": sum(
+                result.indices.nbytes + result.sampled_indices.nbytes
+                for position, batch_results in enumerate(per_batch)
+                if position not in recovered
+                for result in batch_results
+            ),
+            "stats_inherited": inherited,
+        }
         with self._lock:
-            self._transfer["bytes_shipped"] += shipped
-            self._transfer["stats_inherited"] += inherited
-        return results, [batches[position] for position in recovered]
+            for key, value in transfer.items():
+                self._transfer[key] += value
+        return results, [batches[position] for position in recovered], transfer
 
     # -- resolution helpers ---------------------------------------------------
 

@@ -121,6 +121,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
+from ..core.pipeline import label_tally
 from ..core.planning import effective_workers, resolve_n_jobs, worker_share
 from ..oracle.retry import (
     CircuitOpenError,
@@ -159,6 +160,22 @@ LANES = ("interactive", "batch")
 
 #: Admission modes for a full queue.
 ADMISSION_MODES = ("block", "reject", "shed_oldest")
+
+#: The counts in every :attr:`SupgService.window_log` record; a window
+#: that did not get as far as some of them logs 0 for those.
+WINDOW_COUNTS = (
+    "queries",
+    "errors",
+    "distinct_draws",
+    "queries_folded",
+    "late_folded",
+    "warm_draws",
+    "labels_drawn",
+    "labels_saved",
+    "bytes_shipped",
+    "stats_inherited",
+    "recovered_groups",
+)
 
 
 class QueryError(RuntimeError):
@@ -525,23 +542,23 @@ class SupgService:
         self._scheduler_error: BaseException | None = None
         self._submitted = 0
         self._windows: deque[dict] = deque(maxlen=window_log_limit)
-        self._windows_total = 0
         self._window_seq = 0
         self._batch_windows_stale = 0
-        self._blocked_seconds = 0.0
-        self._counters = {
-            "admitted": 0,
-            "rejected": 0,
-            "shed": 0,
-            "cancelled": 0,
-        }
-        self._totals = {
+        #: The service's cumulative counters, the one source that
+        #: session_stats() and health() read (under ``_arrival``).
+        #: Monotonic: they keep counting past the window-log buffer.
+        self._counts = {
             "windows": 0,
             "queries_served": 0,
             "queries_folded": 0,
             "late_folded": 0,
             "window_errors": 0,
             "recovered_groups": 0,
+            "admitted": 0,
+            "rejected": 0,
+            "shed": 0,
+            "cancelled": 0,
+            "blocked_ms": 0.0,
         }
         self._lane_latency = {
             lane: deque(maxlen=LANE_LATENCY_SAMPLES) for lane in LANES
@@ -622,7 +639,7 @@ class SupgService:
                 and len(self._pending) >= self.max_queue_depth
             ):
                 if self.admission == "reject":
-                    self._counters["rejected"] += 1
+                    self._counts["rejected"] += 1
                     raise AdmissionRejected(
                         f"admission queue full ({len(self._pending)} pending, "
                         f"cap {self.max_queue_depth}); retry in "
@@ -633,7 +650,7 @@ class SupgService:
                 if self.admission == "shed_oldest":
                     if self._shed_oldest():
                         continue  # a slot opened; re-check the cap
-                    self._counters["rejected"] += 1
+                    self._counts["rejected"] += 1
                     raise AdmissionRejected(
                         f"admission queue full ({len(self._pending)} pending) "
                         "and nothing sheddable (all interactive)",
@@ -643,7 +660,7 @@ class SupgService:
                 # "block": wait for the scheduler to drain a window.
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
-                    self._counters["rejected"] += 1
+                    self._counts["rejected"] += 1
                     raise AdmissionRejected(
                         f"admission queue still full after blocking {timeout}s "
                         f"({len(self._pending)} pending, cap {self.max_queue_depth})",
@@ -652,11 +669,11 @@ class SupgService:
                     )
                 waited_from = time.monotonic()
                 self._arrival.wait(remaining)
-                self._blocked_seconds += time.monotonic() - waited_from
+                self._counts["blocked_ms"] += (time.monotonic() - waited_from) * 1000.0
                 self._check_open()
             submission.ticket.number = self._submitted
             self._submitted += 1
-            self._counters["admitted"] += 1
+            self._counts["admitted"] += 1
             self._pending.append(submission)
             submission.ticket._cancel_hook = lambda: self._on_cancel(submission)
             self._arrival.notify_all()
@@ -693,7 +710,7 @@ class SupgService:
         if victim is None:
             return False
         self._pending.remove(victim)
-        self._counters["shed"] += 1
+        self._counts["shed"] += 1
         victim.ticket._finish(
             error=QueryShedError(
                 f"query #{victim.ticket.number} shed under overload: admission "
@@ -711,7 +728,7 @@ class SupgService:
                 self._pending.remove(submission)
             except ValueError:
                 return  # already dispatched (or shed); nothing to count here
-            self._counters["cancelled"] += 1
+            self._counts["cancelled"] += 1
             self._arrival.notify_all()
 
     def close(self, drain: bool = True, timeout: float | None = None) -> None:
@@ -773,41 +790,44 @@ class SupgService:
         """Per-window statistics, oldest retained first (ring buffer).
 
         Each record maps ``index`` (monotonic window number), ``lane``,
-        ``queries`` (statements served), ``errors`` (compile failures
-        plus failed executions), ``distinct_draws``, ``queries_folded``
-        (statements beyond the first of each group), ``late_folded``
-        (arrivals absorbed after the window closed), ``warm_draws``
-        (groups already in the store before the window pre-drew),
-        ``labels_drawn`` / ``labels_saved`` (store-counter deltas),
-        ``bytes_shipped`` (index bytes of the results fork workers
-        returned over the pool pipe), ``stats_inherited`` (file-backed
-        statistics the window's workers inherited), ``recovered_groups``
-        (execution groups re-run sequentially after a fork worker
-        died), ``window_seconds``, and ``closed_by`` (``"count"`` /
-        ``"timeout"`` / ``"drain"``).  A window abandoned at its
-        deadline additionally carries ``deadline_expired=True``; a
-        window failed fast by the circuit breaker carries
-        ``breaker_open=True``.  Only the newest ``window_log_limit``
-        records are retained; the cumulative counters in
-        :meth:`session_stats` keep counting past the buffer.
+        ``queries`` (every ticket the window resolved, late folds
+        included), ``errors`` (those of them that failed: compile
+        errors, failed executions, breaker or deadline failures),
+        ``distinct_draws``, ``queries_folded`` (statements beyond the
+        first of each group), ``late_folded`` (arrivals absorbed after
+        the window closed), ``warm_draws`` (groups already in the store
+        before the window pre-drew), ``labels_drawn`` / ``labels_saved``
+        (what the window's own store fetches drew and were served,
+        counted by :func:`~repro.core.pipeline.label_tally`),
+        ``bytes_shipped`` (index bytes of the results the window's fork
+        workers returned over the pool pipe), ``stats_inherited``
+        (file-backed statistics the window's workers inherited),
+        ``recovered_groups`` (execution groups re-run sequentially after
+        a fork worker died), ``window_seconds``, and ``closed_by``
+        (``"count"`` / ``"timeout"`` / ``"drain"``).  Every record has
+        these keys; a window abandoned at its deadline also carries
+        ``deadline_expired=True``, and a window failed fast by the
+        circuit breaker ``breaker_open=True``.  Fetches made inside fork
+        workers are not counted, as in the store's own totals.  Only the
+        newest ``window_log_limit`` records are retained; the cumulative
+        counters in :meth:`session_stats` keep counting past the buffer.
         """
         with self._arrival:
             return tuple(dict(record) for record in self._windows)
 
     def session_stats(self) -> Mapping[str, int]:
-        """Engine store counters plus the service's cumulative accounting.
+        """Engine counters plus the service's one cumulative counter dict.
 
         Window aggregates (``windows``, ``queries_served``, …) are
-        cumulative counters, not sums over :attr:`window_log` — they
-        stay exact after the ring buffer starts dropping old records.
+        bumped as each record is logged, not summed over
+        :attr:`window_log`, so they stay exact after the ring buffer
+        starts dropping old records.
         Admission accounting: ``admitted`` / ``rejected`` / ``shed`` /
         ``cancelled`` / ``blocked_ms``.
         """
         stats = dict(self.engine.session_stats())
         with self._arrival:
-            stats.update(self._totals)
-            stats.update(self._counters)
-            stats["blocked_ms"] = int(self._blocked_seconds * 1000.0)
+            stats.update(self._counters_locked())
         if self._breaker is not None:
             stats["breaker_fast_failures"] = self._breaker.fast_failures
             stats["breaker_trips"] = self._breaker.tripped_total
@@ -816,12 +836,14 @@ class SupgService:
     def health(self) -> Mapping[str, object]:
         """Live operational snapshot (what ``repro serve`` exposes).
 
-        Reports queue depth, inflight windows, cumulative admission
-        counters, circuit-breaker state, and per-lane pending/served
-        counts with p50/p99 latency in milliseconds (over the last
-        ``LANE_LATENCY_SAMPLES`` completions per lane).
+        Reports queue depth, inflight windows, circuit-breaker state,
+        per-lane pending/served counts with p50/p99 latency in
+        milliseconds (over the last ``LANE_LATENCY_SAMPLES`` completions
+        per lane), and the counters :meth:`session_stats` reads
+        (``windows_total`` is its ``windows``).
         """
         with self._arrival:
+            counts = self._counters_locked()
             lanes: dict[str, dict] = {}
             for lane in LANES:
                 samples = np.asarray(self._lane_latency[lane], dtype=float)
@@ -847,12 +869,12 @@ class SupgService:
                 "admission": self.admission,
                 "inflight_windows": len(self._inflight),
                 "max_inflight_windows": self.max_inflight_windows,
-                "windows_total": self._windows_total,
-                "admitted": self._counters["admitted"],
-                "rejected": self._counters["rejected"],
-                "shed": self._counters["shed"],
-                "cancelled": self._counters["cancelled"],
-                "blocked_ms": int(self._blocked_seconds * 1000.0),
+                "windows_total": counts["windows"],
+                "admitted": counts["admitted"],
+                "rejected": counts["rejected"],
+                "shed": counts["shed"],
+                "cancelled": counts["cancelled"],
+                "blocked_ms": counts["blocked_ms"],
                 "lanes": lanes,
             }
         snapshot["breaker"] = (
@@ -861,6 +883,10 @@ class SupgService:
             else {"state": "disabled"}
         )
         return snapshot
+
+    def _counters_locked(self) -> dict[str, int]:
+        """The cumulative counters, as ints (call under ``_arrival``)."""
+        return {key: int(value) for key, value in self._counts.items()}
 
     # -- scheduler -------------------------------------------------------------
 
@@ -965,7 +991,7 @@ class SupgService:
             s for s in self._pending if s.ticket.state == "cancelled"
         ]:
             self._pending.remove(submission)
-            self._counters["cancelled"] += 1
+            self._counts["cancelled"] += 1
         interactive = [s for s in self._pending if s.lane == "interactive"]
         batch = [s for s in self._pending if s.lane != "interactive"]
         if not self._pending:
@@ -995,7 +1021,7 @@ class SupgService:
             if submission.ticket._mark_dispatched():
                 window.append(submission)
             else:
-                self._counters["cancelled"] += 1
+                self._counts["cancelled"] += 1
         return window
 
     @staticmethod
@@ -1113,24 +1139,15 @@ class SupgService:
             unfinished = [s for s in window if not s.ticket.done()]
             window_index = self._window_seq
             self._window_seq += 1
-            self._append_record_locked(
-                {
-                    "index": window_index,
-                    "lane": window[0].lane if window else self.default_lane,
-                    "queries": len(window),
-                    "errors": len(unfinished),
-                    "distinct_draws": 0,
-                    "queries_folded": 0,
-                    "late_folded": 0,
-                    "warm_draws": 0,
-                    "labels_drawn": 0,
-                    "labels_saved": 0,
-                    "recovered_groups": 0,
-                    "window_seconds": self.window_deadline_s,
-                    "closed_by": closed_by,
-                    "deadline_expired": True,
-                }
-            )
+        self._log_window(
+            window_index,
+            window[0].lane if window else self.default_lane,
+            closed_by,
+            self.window_deadline_s,
+            queries=len(window),
+            errors=len(unfinished),
+            deadline_expired=True,
+        )
         for submission in unfinished:
             submission.ticket._finish(
                 error=QueryError(
@@ -1146,21 +1163,37 @@ class SupgService:
 
     # -- window execution ------------------------------------------------------
 
-    def _append_record_locked(self, record: dict) -> None:
-        """Append one window record + bump the cumulative counters.
+    def _log_window(
+        self,
+        index: int,
+        lane: str,
+        closed_by: str,
+        seconds: float,
+        abandoned: threading.Event | None = None,
+        **counts,
+    ) -> None:
+        """Build one window's record, log it, and add it to the totals.
 
-        Caller must hold ``_arrival``.  The record lands in the ring
-        buffer (old records fall off); the totals are monotonic.
+        Every record has all of :data:`WINDOW_COUNTS` (0 unless
+        ``counts`` gives one), plus any flag a caller passes.  A window
+        already ``abandoned`` at its deadline logs nothing: the
+        scheduler logged its deadline record.
         """
-        self._windows.append(record)
-        self._windows_total += 1
-        totals = self._totals
-        totals["windows"] += 1
-        totals["queries_served"] += record.get("queries", 0)
-        totals["queries_folded"] += record.get("queries_folded", 0)
-        totals["late_folded"] += record.get("late_folded", 0)
-        totals["window_errors"] += record.get("errors", 0)
-        totals["recovered_groups"] += record.get("recovered_groups", 0)
+        record = {"index": index, "lane": lane, **dict.fromkeys(WINDOW_COUNTS, 0)}
+        record["window_seconds"] = seconds
+        record["closed_by"] = closed_by
+        record.update(counts)
+        with self._arrival:
+            if abandoned is not None and abandoned.is_set():
+                return
+            self._windows.append(record)
+            totals = self._counts
+            totals["windows"] += 1
+            totals["queries_served"] += record["queries"]
+            totals["queries_folded"] += record["queries_folded"]
+            totals["late_folded"] += record["late_folded"]
+            totals["window_errors"] += record["errors"]
+            totals["recovered_groups"] += record["recovered_groups"]
 
     def _finish_submission(
         self,
@@ -1235,7 +1268,7 @@ class SupgService:
                     continue  # another window claimed it meanwhile
                 self._pending.remove(submission)
                 if not submission.ticket._mark_dispatched():
-                    self._counters["cancelled"] += 1
+                    self._counts["cancelled"] += 1
                     continue
                 self._arrival.notify_all()  # queue space freed
             plan.fold(planned, dataset=job.dataset)
@@ -1258,7 +1291,7 @@ class SupgService:
         lane = window[0].lane if window else self.default_lane
         compiled = []
         submissions: list[_Submission] = []
-        errors = 0
+        compile_errors = 0
         for submission in window:
             try:
                 job = self._compile_submission(submission, len(compiled))
@@ -1267,7 +1300,7 @@ class SupgService:
                 # raw: they are the same exceptions engine.execute()
                 # raises, and carry no window context worth adding.
                 self._finish_submission(submission, error=exc, window=window_index)
-                errors += 1
+                compile_errors += 1
                 continue
             compiled.append(job)
             submissions.append(submission)
@@ -1279,8 +1312,8 @@ class SupgService:
         # Circuit breaker gate: while open, fail the window fast with a
         # typed error instead of letting every ticket burn its full
         # oracle retry budget against a dead dependency.
+        probing = False
         if compiled and breaker is not None:
-            probing = False
             try:
                 probing = breaker.check()
             except CircuitOpenError as exc:
@@ -1295,67 +1328,60 @@ class SupgService:
                         ),
                         window=window_index,
                     )
-                record = {
-                    "index": window_index,
-                    "lane": lane,
-                    "queries": len(window),
-                    "errors": errors + len(submissions),
-                    "distinct_draws": 0,
-                    "queries_folded": 0,
-                    "late_folded": 0,
-                    "warm_draws": 0,
-                    "labels_drawn": 0,
-                    "labels_saved": 0,
-                    "bytes_shipped": 0,
-                    "stats_inherited": 0,
-                    "recovered_groups": 0,
-                    "window_seconds": time.perf_counter() - start,
-                    "closed_by": closed_by,
-                    "breaker_open": True,
-                }
-                with self._arrival:
-                    if abandoned is None or not abandoned.is_set():
-                        self._append_record_locked(record)
+                self._log_window(
+                    window_index,
+                    lane,
+                    closed_by,
+                    time.perf_counter() - start,
+                    abandoned,
+                    queries=len(window),
+                    errors=len(window),
+                    breaker_open=True,
+                )
                 return
-        else:
-            probing = False
 
         plan = None
         warm_draws = 0
         late_folded = 0
         doomed: dict[int, BaseException] = {}
         prewarm_failures: Mapping[tuple, Exception] = {}
-        before = store.stats()
-        transfer_before = self.engine.transfer_stats()
         window_error: Exception | None = None
-        if compiled:
-            # Planning and prewarm touch real resources (the oracle,
-            # the spill directory); a failure here must fail tickets,
-            # not unwind into the scheduler.  Prewarm failures are
-            # isolated per group: only the executions that needed the
-            # broken draw are doomed, the rest of the window proceeds.
-            try:
-                plan = self.engine._plan_compiled(compiled)
-                warm_draws = sum(
-                    1 for tier in plan.warm_keys(store).values() if tier is not None
-                )
-                prewarm_failures = plan.prewarm(store, isolate_failures=True)
-                late_folded = self._fold_late_arrivals(compiled, submissions, plan)
-                if prewarm_failures:
-                    groups = plan.groups
-                    for key, exc in prewarm_failures.items():
-                        for index in groups.get(key, ()):
-                            doomed[index] = exc
-            except Exception as exc:
-                window_error = exc
-
         outcomes = None
         recovered_groups = 0
-        if window_error is None and compiled:
-            try:
-                outcomes, recovered_groups = self._run_window(compiled, plan, doomed)
-            except Exception as exc:
-                window_error = exc
+        transfer: Mapping[str, int] = {}
+        # The tally counts the labels this window's own fetches draw and
+        # are served (prewarm and in-thread executions); concurrent
+        # windows sharing the store count into tallies of their own.
+        with label_tally() as tally:
+            if compiled:
+                # Planning and prewarm touch real resources (the oracle,
+                # the spill directory); a failure here must fail
+                # tickets, not unwind into the scheduler.  Prewarm
+                # failures are isolated per group: only the executions
+                # that needed the broken draw are doomed, the rest of
+                # the window proceeds.
+                try:
+                    plan = self.engine._plan_compiled(compiled)
+                    warm_draws = sum(
+                        1 for tier in plan.warm_keys(store).values() if tier is not None
+                    )
+                    prewarm_failures = plan.prewarm(store, isolate_failures=True)
+                    late_folded = self._fold_late_arrivals(compiled, submissions, plan)
+                    if prewarm_failures:
+                        groups = plan.groups
+                        for key, exc in prewarm_failures.items():
+                            for index in groups.get(key, ()):
+                                doomed[index] = exc
+                except Exception as exc:
+                    window_error = exc
+
+            if window_error is None and compiled:
+                try:
+                    outcomes, recovered_groups, transfer = self._run_window(
+                        compiled, plan, doomed
+                    )
+                except Exception as exc:
+                    window_error = exc
 
         execution_errors = 0
         oracle_failures = sum(
@@ -1403,10 +1429,6 @@ class SupgService:
                 )
                 self._finish_submission(submission, result=execution, window=window_index)
 
-        after = store.stats()
-        transfer_after = self.engine.transfer_stats()
-        labels_delta = after["labels_drawn"] - before["labels_drawn"]
-
         # Breaker accounting: only genuine oracle contact moves the
         # state — windows served entirely from warm draws abstain, so a
         # half-open probe stays available for a window that will
@@ -1420,53 +1442,42 @@ class SupgService:
             elif oracle_failures:
                 for _ in range(oracle_failures):
                     breaker.record_failure()
-            elif labels_delta > 0:
+            elif tally["labels_drawn"] > 0:
                 breaker.record_success()
             elif probing:
                 breaker.abstain()
 
-        grouped = (
-            plan.n_executions - len(plan.ungrouped) if plan is not None else 0
-        )
-        record = {
-            "index": window_index,
-            "lane": lane,
-            "queries": len(compiled),
-            "errors": errors
+        distinct_draws = plan.distinct_draws if plan is not None else 0
+        grouped = plan.n_executions - len(plan.ungrouped) if plan is not None else 0
+        self._log_window(
+            window_index,
+            lane,
+            closed_by,
+            time.perf_counter() - start,
+            abandoned,
+            queries=compile_errors + len(compiled),
+            errors=compile_errors
             + (len(submissions) if window_error is not None else execution_errors),
-            "distinct_draws": plan.distinct_draws if plan is not None else 0,
-            "queries_folded": max(
-                0, grouped - (plan.distinct_draws if plan is not None else 0)
-            ),
-            "late_folded": late_folded,
-            "warm_draws": warm_draws,
-            "labels_drawn": labels_delta,
-            "labels_saved": after["labels_saved"] - before["labels_saved"],
-            "bytes_shipped": transfer_after["bytes_shipped"]
-            - transfer_before["bytes_shipped"],
-            "stats_inherited": transfer_after["stats_inherited"]
-            - transfer_before["stats_inherited"],
-            "recovered_groups": recovered_groups,
-            "window_seconds": time.perf_counter() - start,
-            "closed_by": closed_by,
-        }
-        with self._arrival:
-            if abandoned is not None and abandoned.is_set():
-                # The scheduler already gave up on this window, failed
-                # its tickets, and logged a deadline record; a late
-                # record from the abandoned thread would double-count.
-                return
-            self._append_record_locked(record)
+            distinct_draws=distinct_draws,
+            queries_folded=max(0, grouped - distinct_draws),
+            late_folded=late_folded,
+            warm_draws=warm_draws,
+            recovered_groups=recovered_groups,
+            **tally,
+            **transfer,
+        )
 
     def _run_window(
         self, compiled, plan, doomed: Mapping[int, BaseException] | None = None
     ):
         """Execute one window's compiled queries.
 
-        Returns ``(outcomes, recovered_groups)`` where ``outcomes`` has
-        one ``(result, error)`` pair per compiled query (exactly one of
-        the two is set) and ``recovered_groups`` counts execution
-        groups re-run in-thread after a fork worker died.
+        Returns ``(outcomes, recovered_groups, transfer)`` where
+        ``outcomes`` has one ``(result, error)`` pair per compiled query
+        (exactly one of the two is set), ``recovered_groups`` counts
+        execution groups re-run in-thread after a fork worker died, and
+        ``transfer`` holds the ``bytes_shipped`` and ``stats_inherited``
+        of the window's own fork fan-out (empty when it ran in-thread).
 
         The window's worker budget is its fair share of the service's
         ``jobs`` across currently running windows
@@ -1484,7 +1495,7 @@ class SupgService:
         """
         doomed = dict(doomed or {})
         if not compiled:
-            return [], 0
+            return [], 0, {}
         with self._arrival:
             concurrent = max(1, len(self._running))
         workers = effective_workers(
@@ -1494,13 +1505,13 @@ class SupgService:
         )
         if workers > 1 and not doomed:
             try:
-                results, recovered = self.engine._run_batches_parallel(
+                results, recovered, transfer = self.engine._run_batches_parallel(
                     compiled, plan, self.engine.context, workers
                 )
             except Exception:
                 pass  # isolate per statement on the sequential path below
             else:
-                return [(result, None) for result in results], len(recovered)
+                return [(result, None) for result in results], len(recovered), transfer
         outcomes: list[tuple] = []
         for job in compiled:
             if job.index in doomed:
@@ -1510,4 +1521,4 @@ class SupgService:
                 outcomes.append((job.run(self.engine.context), None))
             except Exception as exc:
                 outcomes.append((None, exc))
-        return outcomes, 0
+        return outcomes, 0, {}

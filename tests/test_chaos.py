@@ -11,8 +11,8 @@ through :class:`SupgService` must:
 - draw no labels beyond the fault-free total plus the one redraw the
   corrupted spill forces (retries are never charged as labels).
 
-The full scenario is delegated to ``scripts/chaos_smoke.py`` (the CI
-chaos job runs the same gates standalone); the focused tests below pin
+The full scenario is delegated to ``scripts/chaos_smoke.py``, run here
+with its default size and query count; the focused tests below pin
 the isolation property the smoke's high retry budget makes unlikely to
 surface — permanent oracle failures landing on individual tickets
 while window-mates succeed.

@@ -243,13 +243,12 @@ score_order = np.load(backend.stat_path(fingerprint, "score-order"), mmap_mode="
 # No scores in this process: a warm zone-map file needs only the
 # fingerprint and the record count.
 zone_map = backend.zone_map(SimpleNamespace(fingerprint=fingerprint, size=size))
-counters = {"bytes_paged": 0}
 digests = []
 for tau in map(float, sys.argv[4:]):
-    selection = zone_map.select_above_paged(tau, sorted_scores, score_order, counters)
+    selection = zone_map.select_above_paged(tau, sorted_scores, score_order)
     digests.append(hashlib.sha256(selection.tobytes()).hexdigest())
 print(json.dumps({"growth_kib": vm_hwm_kib() - baseline_kib,
-                  "bytes_paged": counters["bytes_paged"], "digests": digests}))
+                  "bytes_paged": backend.counters["bytes_paged"], "digests": digests}))
 """
 
 
@@ -427,12 +426,12 @@ class TestEngineIntegration:
         data = make_dataset()
         first.register_table("t", data)
         # Registration alone computes nothing: no sort, no index, no file.
-        assert first.backend_stats()["sorts_performed"] == 0
+        assert first.session_stats()["sorts_performed"] == 0
         assert "zone_map" not in data.__dict__
         assert not any(tmp_path.iterdir())
         queries = (RT.format(gamma=90), PT)
         baseline = [first.execute(query, seed=2) for query in queries]
-        assert first.backend_stats()["sorts_performed"] == 1
+        assert first.session_stats()["sorts_performed"] == 1
         monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
         second = SupgEngine(store_dir=str(tmp_path), backend="disk")
         second.register_table("t", make_dataset())
