@@ -15,8 +15,14 @@ gate.
 For every workload the script runs ``PAIRS`` pairs of untraced runs of
 ``run_seconds`` each.  Both runs of a pair take the pair number as
 their seed, and the side that runs first alternates from pair to pair.
-It prints one row per workload and end-to-end metric with both
-medians, the change and the bound, and exits 1 when
+It first prints the Python and numpy versions and the CPU count of the
+interpreter the runs use: a gain can hang on one numpy release (numpy
+2.4's ``unique`` re-sorts sorted input), and CI installs numpy
+unpinned.  Then it prints one row per workload and end-to-end metric
+with each side's median and quartiles, the change, how many seed-paired
+runs the head won in the metric's ``better`` direction (ties count for
+neither side), and the bound.  A claimed gain reads the wins and
+quartiles; the exit rule does not.  The script exits 1 when
 
 - any run exits non-zero;
 - any run reports ``correct: false`` or ``failed > 0``;
@@ -69,9 +75,49 @@ def run_problems(workload: str, side: str, runs: list[dict]) -> list[str]:
     return problems
 
 
-def median_of(runs: list[dict], metric: str) -> float | None:
-    values = [record["metrics"][metric]["value"] for record in runs if record["returncode"] == 0]
-    return statistics.median(values) if values else None
+def environment(interpreter: str) -> str:
+    """One line naming the Python, numpy and CPU count of ``interpreter``."""
+    probe = (
+        "import os, platform, numpy; print(f'python {platform.python_version()}, "
+        "numpy {numpy.__version__}, os.cpu_count() {os.cpu_count()}')"
+    )
+    out = subprocess.run([interpreter, "-c", probe], capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+def value_of(record: dict, metric: str) -> float | None:
+    """The run's value of ``metric``, or ``None`` when the run exited non-zero."""
+    return record["metrics"][metric]["value"] if record["returncode"] == 0 else None
+
+
+def values_of(runs: list[dict], metric: str) -> list[float]:
+    return [value for value in (value_of(record, metric) for record in runs) if value is not None]
+
+
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """First and third quartile, interpolated linearly as numpy's
+    ``percentile`` does."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def head_wins(base: list[dict], head: list[dict], metric: dict) -> tuple[int, int]:
+    """Seed-paired runs the head won in the metric's ``better`` direction,
+    and the pairs in which both runs exited 0.  A tie counts for neither."""
+    wins = pairs = 0
+    for base_record, head_record in zip(base, head):
+        base_value = value_of(base_record, metric["name"])
+        head_value = value_of(head_record, metric["name"])
+        if base_value is None or head_value is None:
+            continue
+        pairs += 1
+        if metric["better"] == "lower":
+            wins += head_value < base_value
+        else:
+            wins += head_value > base_value
+    return wins, pairs
 
 
 def relative_change(base: float, head: float) -> float:
@@ -91,23 +137,28 @@ def verdict(end_to_end: list[dict], workload: str, base: list[dict],
     problems = run_problems(workload, "base", base) + run_problems(workload, "head", head)
     rows = []
     for metric in end_to_end:
-        name, bound = metric["name"], metric["bound"]
-        base_median, head_median = median_of(base, name), median_of(head, name)
-        if base_median is None or head_median is None:
-            rows.append([workload, name, "n/a", "n/a", "n/a", f"{bound:.0%}", "no runs"])
+        name, bound, unit = metric["name"], metric["bound"], metric["unit"]
+        base_values, head_values = values_of(base, name), values_of(head, name)
+        if not base_values or not head_values:
+            rows.append([workload, name, *["n/a"] * 6, f"{bound:.0%}", "no runs"])
             continue
+        base_median, head_median = statistics.median(base_values), statistics.median(head_values)
+        (base_q1, base_q3), (head_q1, head_q3) = quartiles(base_values), quartiles(head_values)
+        wins, pairs = head_wins(base, head, metric)
         change = relative_change(base_median, head_median)
         worse = change if metric["better"] == "lower" else -change
         status = "ok"
         if worse > bound:
             status = "WORSE"
             problems.append(
-                f"{workload}: {name} {head_median:.4g} {metric['unit']} against "
+                f"{workload}: {name} {head_median:.4g} {unit} against "
                 f"{base_median:.4g}, {change:+.1%} (bound {bound:.0%})"
             )
         rows.append([
-            workload, name, f"{base_median:.4g} {metric['unit']}",
-            f"{head_median:.4g} {metric['unit']}", f"{change:+.1%}", f"{bound:.0%}", status,
+            workload, name,
+            f"{base_median:.4g} {unit}", f"{base_q1:.4g}–{base_q3:.4g}",
+            f"{head_median:.4g} {unit}", f"{head_q1:.4g}–{head_q3:.4g}",
+            f"{change:+.1%}", f"{wins}/{pairs}", f"{bound:.0%}", status,
         ])
     return rows, problems
 
@@ -124,6 +175,7 @@ def main(argv: list[str]) -> int:
         for part in spec["command"]
     ]
     seconds = spec["run_seconds"]
+    print(environment(command[0]), flush=True)
     rows, problems = [], []
     for workload in (entry["name"] for entry in spec["workloads"]):
         runs: dict[str, list[dict]] = {"base": [], "head": []}
@@ -138,7 +190,10 @@ def main(argv: list[str]) -> int:
         )
         rows.extend(workload_rows)
         problems.extend(workload_problems)
-    header = ["workload", "metric", "base median", "head median", "change", "bound", "verdict"]
+    header = [
+        "workload", "metric", "base median", "base q1–q3", "head median", "head q1–q3",
+        "change", "head wins", "bound", "verdict",
+    ]
     for row in [header, ["---"] * len(header), *rows]:
         print("| " + " | ".join(row) + " |")
     for problem in problems:

@@ -13,6 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
+from ..metrics import sorted_distinct
+
 __all__ = ["TargetType", "ApproxQuery", "SelectionResult"]
 
 
@@ -77,8 +79,12 @@ class SelectionResult:
     """Output of one SUPG selection (Algorithm 1 of the paper).
 
     Attributes:
-        indices: the returned set ``R = R1 ∪ R2`` as sorted unique
-            record indices.
+        indices: the returned set ``R = R1 ∪ R2`` as sorted distinct
+            record indices.  Normalized by
+            :func:`~repro.metrics.sorted_distinct`, so it is the
+            result's own array: O(k) when the input is already sorted
+            and distinct, as every selector's is, and never a view of
+            the array passed in.
         tau: the estimated proxy-score threshold.
         oracle_calls: oracle budget actually consumed.
         sampled_indices: distinct records labeled by the oracle (the
@@ -94,8 +100,7 @@ class SelectionResult:
     details: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        idx = np.unique(np.asarray(self.indices, dtype=np.intp))
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", sorted_distinct(self.indices))
         object.__setattr__(
             self, "sampled_indices", np.asarray(self.sampled_indices, dtype=np.intp)
         )

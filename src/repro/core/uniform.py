@@ -23,6 +23,7 @@ import numpy as np
 
 from ..bounds import ConfidenceBound
 from ..datasets import Dataset
+from ..metrics import sorted_distinct
 from ..sampling.designs import LabeledSample, SampleDesign
 from .base import Selector
 from .thresholds import (
@@ -224,7 +225,7 @@ def precision_candidate_scan(
         # needs.  The chosen tau's selection size is one cumulative
         # tail-count lookup (O(log K + log S)) instead of an O(n) count.
         boundary_strata = np.searchsorted(zone_map.highs, taus, side="left")
-        details["candidate_strata"] = int(np.unique(boundary_strata).size)
+        details["candidate_strata"] = int(sorted_distinct(boundary_strata).size)
         details["selected_count"] = int(dataset.count_above(tau))
 
     return tau, details

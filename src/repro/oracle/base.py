@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..metrics import sorted_distinct
+
 __all__ = ["BudgetExhaustedError", "BudgetedOracle", "oracle_from_labels"]
 
 
@@ -49,6 +51,13 @@ class BudgetedOracle:
         charge_duplicates: if True, repeated queries of the same record
             consume budget each time (strict i.i.d. accounting); the
             default False matches the paper's per-record labeling cost.
+
+    The memo is a sorted ``intp`` array of the labeled records with an
+    aligned ``int8`` array of their labels.  A call is a ``searchsorted``
+    split into known and missing records, one ``label_fn`` call on the
+    sorted missing ones, one ``np.insert`` merge and one gather, with no
+    per-record Python.  The merge is O(labeled) per call, so callers
+    pass whole arrays rather than one record at a time.
     """
 
     def __init__(
@@ -62,7 +71,8 @@ class BudgetedOracle:
         self._label_fn = label_fn
         self.budget = budget
         self.charge_duplicates = charge_duplicates
-        self._cache: dict[int, int] = {}
+        self._labeled = np.zeros(0, dtype=np.intp)
+        self._labels = np.zeros(0, dtype=np.int8)
         self._calls = 0
 
     @property
@@ -74,7 +84,7 @@ class BudgetedOracle:
     @property
     def labeled_count(self) -> int:
         """Number of distinct records labeled so far."""
-        return len(self._cache)
+        return int(self._labeled.size)
 
     def remaining(self) -> int | None:
         """Budget left, or None when unlimited."""
@@ -100,28 +110,31 @@ class BudgetedOracle:
         if idx.size == 0:
             return np.zeros(0, dtype=np.int8)
 
-        if self.charge_duplicates:
-            charge = idx.size
+        distinct = sorted_distinct(idx)
+        labeled = self._labeled
+        positions = np.searchsorted(labeled, distinct)
+        if labeled.size:
+            new = labeled[np.minimum(positions, labeled.size - 1)] != distinct
         else:
-            new = {int(i) for i in idx} - self._cache.keys()
-            charge = len(new)
+            new = np.ones(distinct.size, dtype=bool)
+        missing = distinct[new]
+        charge = idx.size if self.charge_duplicates else int(missing.size)
         if self.budget is not None and self._calls + charge > self.budget:
             raise BudgetExhaustedError(self.budget, self._calls + charge)
 
-        missing = np.array(
-            sorted({int(i) for i in idx} - self._cache.keys()), dtype=np.intp
-        )
         if missing.size:
             labels = np.asarray(self._label_fn(missing)).astype(np.int8)
             if labels.shape != missing.shape:
                 raise ValueError("label_fn must return one label per requested index")
-            self._cache.update(zip(missing.tolist(), labels.tolist()))
+            at = positions[new]
+            self._labeled = np.insert(labeled, at, missing)
+            self._labels = np.insert(self._labels, at, labels)
         self._calls += charge
-        return np.array([self._cache[int(i)] for i in idx], dtype=np.int8)
+        return self._labels[np.searchsorted(self._labeled, idx)]
 
     def labeled_indices(self) -> np.ndarray:
         """Indices of all records labeled so far (the sample ``S``)."""
-        return np.array(sorted(self._cache), dtype=np.intp)
+        return self._labeled.copy()
 
     def known_positives(self) -> np.ndarray:
         """Indices of records already labeled positive.
@@ -130,9 +143,7 @@ class BudgetedOracle:
         set (``R1`` in the pseudocode): labels already paid for are never
         wasted.
         """
-        return np.array(
-            sorted(i for i, y in self._cache.items() if y == 1), dtype=np.intp
-        )
+        return self._labeled[self._labels == 1]
 
 
 def oracle_from_labels(

@@ -23,6 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from ..datasets import Dataset
+from ..metrics import sorted_distinct
 from ..oracle import BudgetedOracle
 from ..sampling import uniform_sample, weighted_sample
 from .features import FeatureDataset
@@ -101,7 +102,7 @@ def train_proxy(
             bootstrap = LogisticProxy().fit(task.features[seed_idx], seed_labels)
             scores = np.clip(bootstrap.predict_proba(task.features), 1e-6, 1.0)
             enriched = weighted_sample(scores / scores.sum(), top_up_budget, rng)
-            extra_idx = np.unique(enriched.indices)
+            extra_idx = sorted_distinct(enriched.indices)
             extra_labels = oracle.query(extra_idx)
             train_idx = np.concatenate([seed_idx, extra_idx])
             train_labels = np.concatenate([seed_labels, extra_labels])

@@ -407,6 +407,22 @@ class _Submission:
     arrived: float = field(default_factory=time.monotonic)
 
 
+class _Window(list):
+    """One window's submissions, with its log index and abandoned flag.
+
+    The scheduler forms it and files this same object in ``_inflight``;
+    late folds join it under ``_arrival``.  So every failure sweep —
+    the deadline, the dispatch handlers, ``close(timeout=)`` and the
+    scheduler crash guard — reaches folded tickets too, and the deadline
+    record reuses the window's own index.
+    """
+
+    def __init__(self, submissions: list[_Submission], index: int) -> None:
+        super().__init__(submissions)
+        self.index = index
+        self.abandoned = threading.Event()
+
+
 class SupgService:
     """Admission queue over a long-lived engine, batching into plan windows.
 
@@ -530,14 +546,13 @@ class SupgService:
         self._stage_budget = stage_budget
         self._arrival = threading.Condition()
         self._pending: list[_Submission] = []
-        #: token -> the window's submissions; populated from formation
-        #: until the dispatch completes, so the scheduler-crash sweep
-        #: can fail exactly the in-flight tickets.
-        self._inflight: dict[int, list[_Submission]] = {}
-        #: token -> coarse (table, seed) keys of windows currently
+        #: window index -> the window; filed from formation until the
+        #: dispatch completes, so the scheduler-crash sweep can fail
+        #: exactly the in-flight tickets, late folds included.
+        self._inflight: dict[int, _Window] = {}
+        #: window index -> coarse (table, seed) keys of windows currently
         #: executing on worker threads (concurrent-window mode only).
         self._running: dict[int, set] = {}
-        self._window_token = 0
         self._closed = False
         self._scheduler_error: BaseException | None = None
         self._submitted = 0
@@ -805,7 +820,8 @@ class SupgService:
         ``recovered_groups`` (execution groups re-run sequentially after
         a fork worker died), ``window_seconds``, and ``closed_by``
         (``"count"`` / ``"timeout"`` / ``"drain"``).  Every record has
-        these keys; a window abandoned at its deadline also carries
+        these keys; a window abandoned at its deadline logs one record
+        under its own index, counting its late folds, that also carries
         ``deadline_expired=True``, and a window failed fast by the
         circuit breaker ``breaker_open=True``.  Fetches made inside fork
         workers are not counted, as in the store's own totals.  Only the
@@ -944,12 +960,12 @@ class SupgService:
                     closed_by = "count"
                 elif self._closed:
                     closed_by = "drain"
-                window = self._take_window()
-                token = None
-                if window:
-                    token = self._window_token
-                    self._window_token += 1
-                    self._inflight[token] = list(window)
+                members = self._take_window()
+                window = None
+                if members:
+                    window = _Window(members, self._window_seq)
+                    self._window_seq += 1
+                    self._inflight[window.index] = window
                 # Queue space was freed (taken or purged submissions):
                 # wake blocked admission waiters.
                 self._arrival.notify_all()
@@ -971,10 +987,10 @@ class SupgService:
                 # the dispatch must leave _inflight populated so the
                 # scheduler crash guard can fail exactly these tickets.
                 with self._arrival:
-                    self._inflight.pop(token, None)
+                    self._inflight.pop(window.index, None)
                     self._arrival.notify_all()
             else:
-                self._launch_concurrent(window, closed_by, token)
+                self._launch_concurrent(window, closed_by)
         self._await_running_windows()
 
     def _take_window(self) -> list[_Submission]:
@@ -1061,9 +1077,7 @@ class SupgService:
         seed = submission.seed
         return (submission.parsed.table, seed if isinstance(seed, int) else None)
 
-    def _launch_concurrent(
-        self, window: list[_Submission], closed_by: str, token: int
-    ) -> None:
+    def _launch_concurrent(self, window: _Window, closed_by: str) -> None:
         """Run one window on a worker thread, capped and disjoint."""
         keys = {self._coarse_key(s) for s in window}
         with self._arrival:
@@ -1072,7 +1086,7 @@ class SupgService:
                 or any(keys & running for running in self._running.values())
             ):
                 self._arrival.wait(timeout=0.5)
-            self._running[token] = keys
+            self._running[window.index] = keys
 
         def run() -> None:
             try:
@@ -1096,8 +1110,8 @@ class SupgService:
                     )
             finally:
                 with self._arrival:
-                    self._running.pop(token, None)
-                    self._inflight.pop(token, None)
+                    self._running.pop(window.index, None)
+                    self._inflight.pop(window.index, None)
                     self._arrival.notify_all()
 
         threading.Thread(target=run, name="supg-window-runner", daemon=True).start()
@@ -1108,23 +1122,24 @@ class SupgService:
             while self._running:
                 self._arrival.wait(timeout=1.0)
 
-    def _dispatch_window(self, window: list[_Submission], closed_by: str) -> None:
+    def _dispatch_window(self, window: _Window, closed_by: str) -> None:
         """Run one window, under the service's deadline when one is set.
 
         The deadline path runs the window on a disposable daemon thread
         and abandons it on overrun: the thread cannot be killed, but
-        its later attempts to finish tickets or append a window record
-        are no-ops (idempotent tickets, the ``abandoned`` flag), so the
-        scheduler safely moves on to the next window.
+        its later attempts to fold arrivals, finish tickets or append a
+        window record are no-ops (idempotent tickets, the window's
+        ``abandoned`` flag), so the scheduler safely moves on to the
+        next window.  The deadline record takes the window's own index
+        and counts its late folds.
         """
         if self.window_deadline_s is None:
             self._execute_window(window, closed_by)
             return
-        abandoned = threading.Event()
 
         def run() -> None:
             try:
-                self._execute_window(window, closed_by, abandoned=abandoned)
+                self._execute_window(window, closed_by)
             except Exception as exc:
                 for submission in window:
                     submission.ticket._finish(error=exc)
@@ -1135,16 +1150,16 @@ class SupgService:
         if not worker.is_alive():
             return
         with self._arrival:
-            abandoned.set()
+            window.abandoned.set()
             unfinished = [s for s in window if not s.ticket.done()]
-            window_index = self._window_seq
-            self._window_seq += 1
+            queries = len(window)
+        window_index = window.index
         self._log_window(
             window_index,
-            window[0].lane if window else self.default_lane,
+            window[0].lane,
             closed_by,
             self.window_deadline_s,
-            queries=len(window),
+            queries=queries,
             errors=len(unfinished),
             deadline_expired=True,
         )
@@ -1236,7 +1251,7 @@ class SupgService:
         planned = self.engine._plan_compiled([job]).executions[0]
         return replace(planned, index=job.index)
 
-    def _fold_late_arrivals(self, compiled, submissions, plan) -> int:
+    def _fold_late_arrivals(self, compiled, window: _Window, plan) -> int:
         """Absorb queued arrivals whose group this window already pre-drew.
 
         Runs between prewarm and execution: any pending submission
@@ -1244,7 +1259,9 @@ class SupgService:
         window — its draw is already paid for, so running it now saves
         a whole window of latency and keeps the fold accounting where
         the labels were actually shared.  Arrivals that would need a
-        *new* draw stay queued for the next window.
+        *new* draw stay queued for the next window.  A folded arrival
+        joins ``window`` in the same locked step that claims it, and an
+        abandoned window claims nothing.
         """
         # Snapshot under the lock, compile outside it: compilation can
         # be slow (first-use proxy-UDF derivation scores the whole
@@ -1264,31 +1281,27 @@ class SupgService:
             if not plan.covers(planned.key):
                 continue
             with self._arrival:
+                if window.abandoned.is_set():
+                    break  # past its deadline: leave the rest queued
                 if submission not in self._pending:
                     continue  # another window claimed it meanwhile
                 self._pending.remove(submission)
                 if not submission.ticket._mark_dispatched():
                     self._counts["cancelled"] += 1
                     continue
+                window.append(submission)
+                submission.ticket.state = "folded"
                 self._arrival.notify_all()  # queue space freed
             plan.fold(planned, dataset=job.dataset)
             compiled.append(job)
-            submissions.append(submission)
-            submission.ticket.state = "folded"
             folded += 1
         return folded
 
-    def _execute_window(
-        self,
-        window: list[_Submission],
-        closed_by: str,
-        abandoned: threading.Event | None = None,
-    ) -> None:
+    def _execute_window(self, window: _Window, closed_by: str) -> None:
         start = time.perf_counter()
-        with self._arrival:
-            window_index = self._window_seq
-            self._window_seq += 1
-        lane = window[0].lane if window else self.default_lane
+        window_index = window.index
+        abandoned = window.abandoned
+        lane = window[0].lane
         compiled = []
         submissions: list[_Submission] = []
         compile_errors = 0
@@ -1366,7 +1379,9 @@ class SupgService:
                         1 for tier in plan.warm_keys(store).values() if tier is not None
                     )
                     prewarm_failures = plan.prewarm(store, isolate_failures=True)
-                    late_folded = self._fold_late_arrivals(compiled, submissions, plan)
+                    formed = len(window)
+                    late_folded = self._fold_late_arrivals(compiled, window, plan)
+                    submissions.extend(window[formed:])
                     if prewarm_failures:
                         groups = plan.groups
                         for key, exc in prewarm_failures.items():
@@ -1390,7 +1405,9 @@ class SupgService:
             if isinstance(exc, OracleUnavailableError)
         )
         if window_error is not None:
-            for submission in submissions:
+            # The whole window, late folds included: a fold that failed
+            # part way has joined the window but not ``submissions``.
+            for submission in window:
                 self._finish_submission(
                     submission,
                     error=QueryError.wrap(
@@ -1455,9 +1472,8 @@ class SupgService:
             closed_by,
             time.perf_counter() - start,
             abandoned,
-            queries=compile_errors + len(compiled),
-            errors=compile_errors
-            + (len(submissions) if window_error is not None else execution_errors),
+            queries=len(window),
+            errors=len(window) if window_error is not None else compile_errors + execution_errors,
             distinct_draws=distinct_draws,
             queries_folded=max(0, grouped - distinct_draws),
             late_folded=late_folded,

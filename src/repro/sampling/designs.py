@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
+from ..metrics import sorted_distinct
 from .uniform import uniform_sample
 from .weighted import weighted_sample
 
@@ -126,9 +127,11 @@ class LabeledSample:
         Cached (and read-only, since store-served samples are shared
         across selections): every selection that materializes from this
         sample needs the same set, so a cache hit skips the O(s log s)
-        unique pass entirely.
+        sort entirely.  Built by :func:`~repro.metrics.sorted_distinct`
+        into an array of its own: ``indices`` stays writable and
+        unshared.
         """
-        out = np.unique(np.asarray(self.indices, dtype=np.intp))
+        out = sorted_distinct(self.indices)
         out.flags.writeable = False
         return out
 
@@ -138,10 +141,11 @@ class LabeledSample:
 
         Target-independent, hence cacheable: which sampled records the
         oracle called positive does not depend on the query's gamma, so
-        one pass serves every selection replaying this sample.
+        one pass serves every selection replaying this sample.  Read-only
+        and, like :attr:`distinct_indices`, its own array.
         """
         indices = np.asarray(self.indices, dtype=np.intp)
-        out = np.unique(indices[np.asarray(self.labels) == 1])
+        out = sorted_distinct(indices[np.asarray(self.labels) == 1])
         out.flags.writeable = False
         return out
 

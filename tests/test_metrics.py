@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.metrics import SelectionQuality, evaluate_selection, f1_score, precision, recall
+from repro.core.types import SelectionResult
+from repro.metrics import (
+    SelectionQuality,
+    evaluate_selection,
+    f1_score,
+    precision,
+    recall,
+    sorted_distinct,
+)
+from repro.sampling.designs import LabeledSample
 
 LABELS = np.array([1, 1, 0, 0, 1, 0, 0, 0, 0, 0])
 
@@ -83,3 +92,72 @@ def test_metrics_bounded_and_consistent(labels, data):
     assert recall(exact, labels) == 1.0
     if exact.size:
         assert precision(exact, labels) == 1.0
+
+
+#: Every dtype an index set arrives in: ``intp`` from the samplers and
+#: scans, narrower ints from callers, ``bool`` masks passed by mistake.
+INDEX_DTYPES = [np.intp, np.int8, np.int32, np.uint32, np.bool_]
+
+#: How the values are laid out before the call: the O(k) path takes
+#: strictly increasing input, every other order takes the sort path.
+ORDERINGS = {
+    "as drawn": lambda a: a,
+    "sorted": np.sort,
+    "reversed": lambda a: np.sort(a)[::-1],
+    "duplicated": lambda a: np.repeat(np.sort(a), 2),
+    "sorted distinct": lambda a: np.unique(a),
+}
+
+
+class TestSortedDistinct:
+    @given(
+        values=arrays(
+            dtype=st.sampled_from(INDEX_DTYPES),
+            shape=st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 6), st.integers(0, 6))),
+        ),
+        ordering=st.sampled_from(sorted(ORDERINGS)),
+    )
+    @example(values=np.array([], dtype=np.intp), ordering="as drawn")
+    @example(values=np.array([7], dtype=np.int32), ordering="as drawn")
+    @example(values=np.array([-5, -5, -1, 0, 2], dtype=np.int8), ordering="reversed")
+    @example(values=np.array([[3, 1], [1, -2]], dtype=np.intp), ordering="as drawn")
+    @example(values=np.array([True, False, True]), ordering="as drawn")
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_unique_bytewise(self, values, ordering):
+        """Same bytes, dtype and shape as ``np.unique`` over ``intp``:
+        sorted, reversed, duplicated, empty, single, negative, 2-D and
+        every index dtype (``values`` spans each dtype's full range)."""
+        arranged = ORDERINGS[ordering](values)
+        expected = np.unique(np.asarray(arranged, dtype=np.intp))
+        actual = sorted_distinct(arranged)
+        assert actual.dtype == expected.dtype == np.intp
+        assert actual.shape == expected.shape
+        assert actual.tobytes() == expected.tobytes()
+        assert not np.shares_memory(actual, arranged)
+
+    def test_selection_result_owns_its_indices(self):
+        """The fast path copies: a selection never aliases its input."""
+        selected = np.arange(0, 100, 3, dtype=np.intp)
+        result = SelectionResult(
+            indices=selected, tau=0.5, oracle_calls=0, sampled_indices=np.zeros(0)
+        )
+        assert not np.shares_memory(result.indices, selected)
+        selected[0] = 99
+        assert result.indices[0] == 0
+
+    def test_labeled_sample_caches_leave_the_draw_alone(self):
+        """Reading the read-only distinct sets leaves the draw writable
+        and unshared, even when the draw is already sorted and distinct."""
+        indices = np.arange(10, dtype=np.intp)
+        sample = LabeledSample(
+            design=None,
+            indices=indices,
+            scores=np.linspace(0.0, 1.0, 10),
+            labels=np.ones(10, dtype=np.int8),
+            mass=np.ones(10),
+        )
+        for cached in (sample.distinct_indices, sample.distinct_positives):
+            assert not cached.flags.writeable
+            assert not np.shares_memory(cached, sample.indices)
+        assert sample.indices is indices and indices.flags.writeable
+        np.testing.assert_array_equal(sample.distinct_indices, indices)

@@ -1,7 +1,11 @@
 """Unit tests for the budgeted oracle and the cost model."""
 
+from typing import Callable
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.oracle import (
     BudgetedOracle,
@@ -80,6 +84,136 @@ class TestBudgetedOracle:
         oracle = BudgetedOracle(lambda idx: np.zeros(idx.size + 1), budget=None)
         with pytest.raises(ValueError, match="one label per"):
             oracle.query(np.array([0, 1]))
+
+
+class _DictBudgetedOracle:
+    """The dict-memo ``BudgetedOracle`` that the array-backed one
+    replaced, kept verbatim as an independent reference."""
+
+    def __init__(
+        self,
+        label_fn: Callable[[np.ndarray], np.ndarray],
+        budget: int | None,
+        charge_duplicates: bool = False,
+    ) -> None:
+        if budget is not None and budget < 0:
+            raise ValueError(f"budget must be non-negative or None, got {budget}")
+        self._label_fn = label_fn
+        self.budget = budget
+        self.charge_duplicates = charge_duplicates
+        self._cache: dict[int, int] = {}
+        self._calls = 0
+
+    @property
+    def calls_used(self) -> int:
+        return self._calls
+
+    @property
+    def labeled_count(self) -> int:
+        return len(self._cache)
+
+    def remaining(self) -> int | None:
+        if self.budget is None:
+            return None
+        return self.budget - self._calls
+
+    def query(self, indices: np.ndarray) -> np.ndarray:
+        idx = np.asarray(indices, dtype=np.intp).ravel()
+        if idx.size == 0:
+            return np.zeros(0, dtype=np.int8)
+
+        if self.charge_duplicates:
+            charge = idx.size
+        else:
+            new = {int(i) for i in idx} - self._cache.keys()
+            charge = len(new)
+        if self.budget is not None and self._calls + charge > self.budget:
+            raise BudgetExhaustedError(self.budget, self._calls + charge)
+
+        missing = np.array(
+            sorted({int(i) for i in idx} - self._cache.keys()), dtype=np.intp
+        )
+        if missing.size:
+            labels = np.asarray(self._label_fn(missing)).astype(np.int8)
+            if labels.shape != missing.shape:
+                raise ValueError("label_fn must return one label per requested index")
+            self._cache.update(zip(missing.tolist(), labels.tolist()))
+        self._calls += charge
+        return np.array([self._cache[int(i)] for i in idx], dtype=np.int8)
+
+    def labeled_indices(self) -> np.ndarray:
+        return np.array(sorted(self._cache), dtype=np.intp)
+
+    def known_positives(self) -> np.ndarray:
+        return np.array(
+            sorted(i for i, y in self._cache.items() if y == 1), dtype=np.intp
+        )
+
+
+class _RecordingLabeler:
+    """Ground-truth lookup that records every request's bytes and can be
+    told to answer one call with one label too few."""
+
+    def __init__(self, truth: np.ndarray, short_call: int | None) -> None:
+        self.truth = truth
+        self.short_call = short_call
+        self.requests: list[tuple] = []
+
+    def __call__(self, indices: np.ndarray) -> np.ndarray:
+        self.requests.append((indices.dtype.str, indices.shape, indices.tobytes()))
+        labels = self.truth[indices]
+        return labels[:-1] if len(self.requests) - 1 == self.short_call else labels
+
+
+def _outcome(oracle, indices):
+    """What one call shows a caller: the answer, or the exception."""
+    try:
+        answer = oracle.query(indices)
+    except (BudgetExhaustedError, ValueError) as exc:
+        return ("raised", type(exc).__name__, str(exc))
+    return ("answered", answer.dtype.str, answer.shape, answer.tobytes())
+
+
+def _state(oracle):
+    return (
+        oracle.calls_used,
+        oracle.labeled_count,
+        oracle.remaining(),
+        oracle.labeled_indices().tobytes(),
+        oracle.known_positives().tobytes(),
+    )
+
+
+@given(
+    truth=st.lists(st.integers(0, 2), min_size=30, max_size=30),
+    queries=st.lists(
+        st.lists(st.integers(-3, 29), max_size=12).map(lambda q: np.array(q, dtype=np.int64)),
+        min_size=1,
+        max_size=8,
+    ),
+    budget=st.one_of(st.none(), st.integers(0, 40)),
+    charge_duplicates=st.booleans(),
+    short_call=st.one_of(st.none(), st.integers(0, 5)),
+)
+@settings(max_examples=80, deadline=None)
+def test_array_memo_matches_the_dict_reference(
+    truth, queries, budget, charge_duplicates, short_call
+):
+    """Duplicates, re-queried records, negative indices, budgets running
+    out part way, ``budget=None``, strict charging and a ``label_fn``
+    answering with the wrong shape: every answer, exception, counter and
+    ``label_fn`` request matches the reference, call by call."""
+    truth = np.array(truth, dtype=np.int64)
+    labelers = [_RecordingLabeler(truth, short_call) for _ in range(2)]
+    oracles = [
+        BudgetedOracle(labelers[0], budget=budget, charge_duplicates=charge_duplicates),
+        _DictBudgetedOracle(labelers[1], budget=budget, charge_duplicates=charge_duplicates),
+    ]
+    for indices in queries:
+        actual, expected = (_outcome(oracle, indices) for oracle in oracles)
+        assert actual == expected
+        assert _state(oracles[0]) == _state(oracles[1])
+    assert labelers[0].requests == labelers[1].requests
 
 
 class TestCostModel:

@@ -87,3 +87,16 @@ def test_a_run_that_exited_non_zero_fails():
     head[0] = {"returncode": 2}
     found = problems(LATENCY, runs(100.0), head)
     assert found == ["fresh-draw: head run 1 exited 2"]
+
+
+def test_rows_report_quartiles_and_seed_paired_wins():
+    """A tie counts for neither side; a run that exited non-zero drops
+    its pair; quartiles interpolate linearly."""
+    base = runs(100.0, spread=(1.0, 1.1, 1.2, 1.3, 1.4))
+    head = runs(100.0, spread=(0.9, 1.1, 1.0, 1.4, 1.0))  # win, tie, win, loss, win
+    head[4] = {"returncode": 2}
+    rows, found = verdict([LATENCY], "fresh-draw", base, head)
+    [row] = rows
+    assert row[3] == "110–130" and row[5] == "97.5–117.5"
+    assert row[7] == "2/4"
+    assert found == ["fresh-draw: head run 5 exited 2"]

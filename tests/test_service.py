@@ -16,12 +16,15 @@ The contracts pinned here:
 
 from __future__ import annotations
 
+import contextlib
+import signal
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, inject
 from repro.query import QuerySyntaxError, SupgEngine, SupgService
 
 RT = (
@@ -64,6 +67,35 @@ def _assert_same_execution(actual, expected, label=""):
         actual.result.sampled_indices, expected.result.sampled_indices
     ), label
     assert dict(actual.result.details) == dict(expected.result.details), label
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Fail, rather than hang, when a ticket never resolves."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _HangOnceArmed(FaultPlan):
+    """Fault plan whose oracle calls hang, once armed, until released."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.armed = threading.Event()
+        self.release = threading.Event()
+
+    def maybe_fault(self) -> None:
+        if self.armed.is_set():
+            self.release.wait(60.0)
 
 
 class TestAcceptanceWindow:
@@ -496,6 +528,50 @@ class TestFailureIsolation:
             log = service.window_log
             assert log[0].get("deadline_expired") is True
             assert log[0]["errors"] == 1
+
+    def test_deadline_fails_late_folded_tickets(self, beta_dataset, monkeypatch):
+        """A ticket folded into a window that then misses its deadline
+        fails with the window, under the window's own index, and counts
+        as served."""
+        from repro.query import QueryError
+        from repro.query import service as service_module
+
+        plan = _HangOnceArmed()
+        service = SupgService(
+            _engine(beta_dataset),
+            max_window_queries=1,
+            max_window_ms=10_000.0,
+            window_deadline_s=1.0,
+        )
+        original = service_module.SupgService._fold_late_arrivals
+        late = {}
+
+        def fold_then_hang(self, compiled, window, query_plan):
+            if "ticket" not in late:
+                late["ticket"] = service.submit(PT.format(gamma=90), seed=5)
+            folded = original(self, compiled, window, query_plan)
+            plan.armed.set()  # both statements' stage-2 labels now hang
+            return folded
+
+        monkeypatch.setattr(
+            service_module.SupgService, "_fold_late_arrivals", fold_then_hang
+        )
+        with _alarm(60), inject(plan):
+            try:
+                first = service.submit(PT.format(gamma=80), seed=5)
+                first_error = first.exception(timeout=30.0)
+                late_error = late["ticket"].exception(timeout=5.0)
+            finally:
+                plan.release.set()
+                service.close(timeout=30.0)
+        for error in (first_error, late_error):
+            assert isinstance(error, QueryError) and error.phase == "deadline"
+        assert first.window == late["ticket"].window == 0
+        [record] = service.window_log
+        assert record["deadline_expired"] is True and record["index"] == 0
+        assert record["queries"] == record["errors"] == 2
+        stats = service.session_stats()
+        assert stats["admitted"] == stats["queries_served"] == 2
 
     def test_close_drain_timeout_fails_stuck_tickets(self, beta_dataset):
         from repro.query import QueryError
