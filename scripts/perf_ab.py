@@ -21,8 +21,20 @@ interpreter the runs use: a gain can hang on one numpy release (numpy
 unpinned.  Then it prints one row per workload and end-to-end metric
 with each side's median and quartiles, the change, how many seed-paired
 runs the head won in the metric's ``better`` direction (ties count for
-neither side), and the bound.  A claimed gain reads the wins and
-quartiles; the exit rule does not.  The script exits 1 when
+neither side), the bound, and a verdict:
+
+- ``WORSE`` when the head's median is worse than the base's by more
+  than the metric's bound, in its ``better`` direction;
+- else ``unresolved`` when the base runs spread too widely to tell: the
+  interquartile range of the base runs, relative to their median, is
+  wider than the bound, and not every head run beats every base run (a
+  tie does not beat);
+- else ``ok``.
+
+Each ``unresolved`` row is followed by every run's value on both
+sides.  A claimed gain reads the wins and quartiles; the exit rule does
+not, and an ``unresolved`` row does not fail the gate.  The script
+exits 1 when
 
 - any run exits non-zero;
 - any run reports ``correct: false`` or ``failed > 0``;
@@ -146,7 +158,12 @@ def verdict(end_to_end: list[dict], workload: str, base: list[dict],
         (base_q1, base_q3), (head_q1, head_q3) = quartiles(base_values), quartiles(head_values)
         wins, pairs = head_wins(base, head, metric)
         change = relative_change(base_median, head_median)
-        worse = change if metric["better"] == "lower" else -change
+        lower = metric["better"] == "lower"
+        worse = change if lower else -change
+        spread = relative_change(base_median, base_median + base_q3 - base_q1)
+        head_beats_all = (
+            max(head_values) < min(base_values) if lower else min(head_values) > max(base_values)
+        )
         status = "ok"
         if worse > bound:
             status = "WORSE"
@@ -154,6 +171,8 @@ def verdict(end_to_end: list[dict], workload: str, base: list[dict],
                 f"{workload}: {name} {head_median:.4g} {unit} against "
                 f"{base_median:.4g}, {change:+.1%} (bound {bound:.0%})"
             )
+        elif spread > bound and not head_beats_all:
+            status = "unresolved"
         rows.append([
             workload, name,
             f"{base_median:.4g} {unit}", f"{base_q1:.4g}–{base_q3:.4g}",
@@ -176,7 +195,7 @@ def main(argv: list[str]) -> int:
     ]
     seconds = spec["run_seconds"]
     print(environment(command[0]), flush=True)
-    rows, problems = [], []
+    rows, problems, spreads = [], [], []
     for workload in (entry["name"] for entry in spec["workloads"]):
         runs: dict[str, list[dict]] = {"base": [], "head": []}
         for pair in range(1, PAIRS + 1):
@@ -190,12 +209,22 @@ def main(argv: list[str]) -> int:
         )
         rows.extend(workload_rows)
         problems.extend(workload_problems)
+        for row in workload_rows:
+            if row[-1] == "unresolved":
+                values = {
+                    side: ", ".join(f"{value:.4g}" for value in values_of(runs[side], row[1]))
+                    for side in runs
+                }
+                spreads.append(f"{workload}: {row[1]} base runs {values['base']}; "
+                               f"head runs {values['head']}")
     header = [
         "workload", "metric", "base median", "base q1–q3", "head median", "head q1–q3",
         "change", "head wins", "bound", "verdict",
     ]
     for row in [header, ["---"] * len(header), *rows]:
         print("| " + " | ".join(row) + " |")
+    for spread in spreads:
+        print(f"UNRESOLVED {spread}")
     for problem in problems:
         print(f"FAILED {problem}")
     return 1 if problems else 0

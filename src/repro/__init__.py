@@ -38,9 +38,10 @@ selector runs, and three layers keep it fast:
   Hoeffding paths).
 - **Cached dataset statistics.**  ``Dataset`` memoizes its sorted proxy
   scores (``Dataset.sorted_scores`` / ``Dataset.descending_scores``,
-  ``Dataset.score_order``) and its defensive importance weights keyed
-  by ``(exponent, mixing)`` (``Dataset.sampling_weights``), so repeated
-  trials stop re-sorting and re-weighting the full dataset.  Caches are
+  ``Dataset.score_order``) and the inverse CDF of its defensive
+  importance weights keyed by ``(exponent, mixing)``
+  (``Dataset.sampling_cdf``), so repeated trials stop re-sorting and
+  re-weighting the full dataset, and a draw is ``s`` binary searches.  Caches are
   per-instance: ``subset``/``with_scores`` return fresh instances and
   never observe stale statistics; cached arrays are read-only because
   they are shared across trials.

@@ -90,7 +90,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
         choices=("memory", "disk"),
         default=None,
         help="where dataset statistics (sorted scores, argsort order, "
-        "importance weights) live: 'memory' (RAM ndarrays, default) or "
+        "importance-weight CDFs) live: 'memory' (RAM ndarrays, default) or "
         "'disk' (fingerprint-keyed .npy files under --store-dir opened "
         "as memmap windows; construction is chunked so peak RSS stays "
         "O(--chunk-records), for datasets larger than RAM). Query "
@@ -101,7 +101,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="records per chunk for the disk backend's external sort "
-        "and streaming weight passes (default 1048576); requires "
+        "and streaming CDF passes (default 1048576); requires "
         "--backend disk",
     )
 

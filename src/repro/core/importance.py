@@ -80,11 +80,6 @@ class _ImportanceSelector(Selector):
         self.mixing = mixing
         self.saturation_guard = saturation_guard
 
-    def _weights(self, dataset: Dataset) -> np.ndarray:
-        # Cached on the dataset: repeated trials (the experiment runner's
-        # whole workload) reuse one weight vector per (exponent, mixing).
-        return dataset.sampling_weights(exponent=self.weight_exponent, mixing=self.mixing)
-
     def _weighted_design(self, budget: int) -> SampleDesign:
         return SampleDesign(
             kind="proxy-weighted",
@@ -261,17 +256,15 @@ class ImportanceCIPrecisionTwoStage(_ImportanceSelector):
         # faulted in from the statistic files, never the whole column.
         region = dataset.select_above(tau_min)
 
-        # Stage-2 region construction stays on provider views
-        # throughout: the weight lookup below fancy-indexes the
-        # (possibly memmap'd) weight vector with the region — paging in
-        # only the touched elements — and never materializes a full
-        # column with np.asarray.
-
         # Stage 2: candidate scan over a weighted sample from the region.
         # Reweighting is relative to uniform-over-region, which preserves
         # precision estimands because {A >= tau} is a subset of the
-        # region for every candidate tau >= tau_min.
-        region_weights = self._weights(dataset)[region]
+        # region for every candidate tau >= tau_min.  The region's
+        # weights are the full design's w(x), computed from the region's
+        # scores and the cached statistic's score total: no full-length
+        # column is read.
+        statistic = dataset.sampling_cdf(exponent=self.weight_exponent, mixing=self.mixing)
+        region_weights = statistic.weights(dataset.proxy_scores[region])
         region_sample = weighted_sample(region_weights, stage2_budget, rng)
         sampled_global = region[region_sample.indices]
         labels2 = np.asarray(label_fn(sampled_global))

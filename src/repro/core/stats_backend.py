@@ -3,9 +3,10 @@
 SUPG's selectors only ever touch a dataset through a handful of derived
 statistics — the ascending sorted proxy scores (Algorithm 5's stage-1
 cut), the stable argsort order that maps sorted positions back to record
-indices, the defensive importance-weight vectors (Algorithms 4-5), and
-the score zone map that serves every threshold scan
-(:mod:`repro.core.zonemap`).
+indices, the inverse CDF of each defensive importance-weight design
+(:class:`~repro.sampling.SamplingCDF`, which every importance draw of
+Algorithms 4-5 searches), and the score zone map that serves every
+threshold scan (:mod:`repro.core.zonemap`).
 Historically those lived as ad-hoc ``Dataset`` cached properties, which
 assumes every statistic is a fully materialized ``ndarray`` in RAM and
 caps the system at memory-sized datasets.
@@ -15,8 +16,8 @@ This module puts a provider interface between *what a statistic is* and
 
 ``InMemoryBackend``
     The historical behavior, bit for bit: ``np.sort``,
-    ``np.argsort(kind="stable")`` and
-    :func:`repro.sampling.proxy_sampling_weights` on RAM arrays, and
+    ``np.argsort(kind="stable")`` and :func:`repro.sampling.sampling_cdf`
+    on RAM arrays, and
     :meth:`ScoreZoneMap.build <repro.core.zonemap.ScoreZoneMap.build>`.
 
 ``DiskBackend``
@@ -24,11 +25,11 @@ This module puts a provider interface between *what a statistic is* and
     directory and are handed back as read-only ``np.memmap`` windows.
     Construction never materializes an O(n) temporary: the sort runs as
     a chunked external merge sort (stable, byte-identical to
-    ``np.argsort(kind="stable")``) and the weight vectors stream through
+    ``np.argsort(kind="stable")``) and each inverse CDF streams through
     in O(chunk) passes whose floating-point result is bit-identical to
-    the one-shot in-memory computation (see
-    :func:`chunked_pairwise_sum`).  Peak RSS during construction and
-    scans is O(chunk_records), not O(n).  The zone map is built once
+    the one-shot in-memory computation (see :func:`chunked_pairwise_sum`
+    and :meth:`DiskBackend._build_cdf`).  Peak RSS during construction
+    and scans is O(chunk_records), not O(n).  The zone map is built once
     from the sorted scores and kept in a statistic file of its own, so
     a warm store serves every statistic without sorting.
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -58,6 +60,17 @@ from typing import TYPE_CHECKING, Callable, Iterable
 import numpy as np
 from numpy.lib.format import open_memmap
 
+from ..sampling.weighted import (
+    SamplingCDF,
+    check_weight_total,
+    check_weights,
+    defensive_weights,
+    require_score_mass,
+    sampling_cdf,
+    score_powers,
+    validate_design,
+    validate_scores,
+)
 from .pipeline import quarantine_file
 from .zonemap import ZONE_MAP_COUNTERS, ScoreZoneMap, stratum_offsets
 
@@ -71,16 +84,16 @@ __all__ = [
     "StatisticsBackend",
     "InMemoryBackend",
     "DiskBackend",
+    "cdf_stat_name",
     "chunked_argsort",
     "chunked_pairwise_sum",
     "external_stable_argsort",
-    "weight_stat_name",
     "statistic_entries",
     "ZONE_MAP_STAT",
 ]
 
 #: Default records per chunk for the disk backend's external sort and
-#: streaming weight passes.  1M float64 records is 8 MiB per buffer —
+#: streaming CDF passes.  1M float64 records is 8 MiB per buffer —
 #: small enough that construction peaks far below the dataset footprint,
 #: large enough that the merge runs at memory bandwidth.
 DEFAULT_CHUNK_RECORDS = 1 << 20
@@ -124,13 +137,23 @@ def _note_chunk(counters: dict[str, int] | None, nbytes: int) -> None:
         counters["peak_chunk_bytes"] = int(nbytes)
 
 
-def weight_stat_name(exponent: float, mixing: float) -> str:
-    """Canonical statistic name for a defensive weight vector.
+#: Metadata keys of a CDF statistic file: the score total ``T`` and the
+#: weight total ``W`` its draws need (JSON floats round-trip exactly).
+_CDF_TOTALS = ("score_total", "weight_total")
 
-    Names the :class:`DiskBackend`'s weight files, so a weight vector
-    is the same statistic in every session sharing a store directory.
+
+def _is_total(value) -> bool:
+    return isinstance(value, float) and math.isfinite(value) and value >= 0.0
+
+
+def cdf_stat_name(exponent: float, mixing: float) -> str:
+    """Canonical statistic name for the inverse CDF of a weight design.
+
+    Names the :class:`DiskBackend`'s CDF files, so a design's draw
+    statistic is the same file in every session sharing a store
+    directory.
     """
-    return f"weights-{float(exponent):g}-{float(mixing):g}"
+    return f"cdf-{float(exponent):g}-{float(mixing):g}"
 
 
 # ----------------------------------------------------------------------
@@ -343,15 +366,21 @@ class StatisticsBackend:
     implementations — callers never know or care which backend served
     them.
 
+    ``sampling_weights`` returns the draw statistic of one weight
+    design, a :class:`~repro.sampling.SamplingCDF`: the inverse CDF of
+    the defensive weights with their two totals, not the weights
+    themselves.  It keeps the name of the weight vector it replaced,
+    which perfbench's tracing shims time as the ``stats`` layer.
+
     ``zone_map`` returns an in-RAM
     :class:`~repro.core.zonemap.ScoreZoneMap` (its arrays are tiny);
     the dataset applies the ``MIN_INDEXED_SIZE`` gate before asking.
 
     ``counters`` is one plain dict, cumulative over the backend's life,
     that ``SupgEngine.session_stats()`` reads as is: construction work
-    (``sorts_performed``, ``weight_passes``, ``chunks_merged``,
-    ``peak_chunk_bytes``), integrity events (``stats_quarantined``), and
-    the scans of every zone map the backend served
+    (``sorts_performed``, ``weight_passes`` — one per CDF built —
+    ``chunks_merged``, ``peak_chunk_bytes``), integrity events
+    (``stats_quarantined``), and the scans of every zone map the backend served
     (:data:`~repro.core.zonemap.ZONE_MAP_COUNTERS`, ``bytes_paged``
     included).  Those maps count straight into this dict, so their
     counts survive a table being registered again or replaced.
@@ -374,7 +403,7 @@ class StatisticsBackend:
 
     def sampling_weights(
         self, dataset: "Dataset", exponent: float, mixing: float
-    ) -> np.ndarray:
+    ) -> SamplingCDF:
         raise NotImplementedError
 
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
@@ -398,15 +427,9 @@ class InMemoryBackend(StatisticsBackend):
 
     def sampling_weights(
         self, dataset: "Dataset", exponent: float, mixing: float
-    ) -> np.ndarray:
-        from ..sampling import proxy_sampling_weights
-
+    ) -> SamplingCDF:
         self.counters["weight_passes"] += 1
-        out = proxy_sampling_weights(
-            dataset.proxy_scores, exponent=exponent, mixing=mixing
-        )
-        out.flags.writeable = False
-        return out
+        return sampling_cdf(dataset.proxy_scores, exponent, mixing)
 
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
         zone_map = ScoreZoneMap.build(dataset.sorted_scores)
@@ -456,22 +479,18 @@ class DiskBackend(StatisticsBackend):
 
     def sampling_weights(
         self, dataset: "Dataset", exponent: float, mixing: float
-    ) -> np.ndarray:
-        exponent = float(exponent)
-        mixing = float(mixing)
-        # Same validation (and messages) as proxy_sampling_weights, so
-        # misuse fails identically whichever backend is active.
-        if exponent < 0:
-            raise ValueError(f"weight exponent must be non-negative, got {exponent}")
-        if not 0.0 <= mixing <= 1.0:
-            raise ValueError(f"defensive mixing weight must lie in [0, 1], got {mixing}")
-        name = weight_stat_name(exponent, mixing)
+    ) -> SamplingCDF:
+        # The in-memory build's validation, so misuse fails identically
+        # whichever backend is active; a warm file skips the score pass.
+        exponent, mixing = validate_design(exponent, mixing)
+        name = cdf_stat_name(exponent, mixing)
         fingerprint = dataset.fingerprint
-        view = self._open(fingerprint, name, dataset.size, np.float64)
-        if view is None:
-            self._build_weights(dataset, fingerprint, name, exponent, mixing)
-            view = self._require(fingerprint, name, dataset.size, np.float64)
-        return view
+        opened = self._open(fingerprint, name, dataset.size, np.float64, _CDF_TOTALS)
+        if opened is None:
+            self._build_cdf(dataset, fingerprint, name, exponent, mixing)
+            opened = self._require(fingerprint, name, dataset.size, np.float64, _CDF_TOTALS)
+        view, meta = opened
+        return SamplingCDF(view, exponent, mixing, meta["score_total"], meta["weight_total"])
 
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
         # The file holds the strata's lows, highs and score mass,
@@ -479,9 +498,9 @@ class DiskBackend(StatisticsBackend):
         offsets = stratum_offsets(dataset.size)
         strata = offsets.size - 1
         fingerprint = dataset.fingerprint
-        view = self._open(fingerprint, ZONE_MAP_STAT, 3 * strata, np.float64)
-        if view is not None:
-            zone_map = ScoreZoneMap(offsets, *np.array(view).reshape(3, strata))
+        opened = self._open(fingerprint, ZONE_MAP_STAT, 3 * strata, np.float64)
+        if opened is not None:
+            zone_map = ScoreZoneMap(offsets, *np.array(opened[0]).reshape(3, strata))
             zone_map.counters = self.counters
             return zone_map
         zone_map = ScoreZoneMap.build(dataset.sorted_scores)
@@ -516,7 +535,9 @@ class DiskBackend(StatisticsBackend):
         except (OSError, ValueError):
             return None
 
-    def _write_meta(self, path: Path, fingerprint: str, name: str, records: int, dtype) -> None:
+    def _write_meta(
+        self, path: Path, fingerprint: str, name: str, records: int, dtype, extra: dict
+    ) -> None:
         payload = {
             "format_version": _STAT_FORMAT_VERSION,
             "fingerprint": fingerprint,
@@ -525,17 +546,20 @@ class DiskBackend(StatisticsBackend):
             "dtype": np.dtype(dtype).str,
             "chunk_records": self.chunk_records,
             "created_at": time.time(),
+            **extra,
         }
         self._meta_path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
 
     def _open(
-        self, fingerprint: str, name: str, records: int, dtype
-    ) -> np.ndarray | None:
-        """A validated read-only memmap of the statistic, or ``None``.
+        self, fingerprint: str, name: str, records: int, dtype, totals: tuple[str, ...] = ()
+    ) -> tuple[np.ndarray, dict] | None:
+        """A validated read-only memmap of the statistic and its metadata,
+        or ``None``.
 
         Any inconsistency — unreadable header, truncated data, missing
-        or mismatched metadata — quarantines the file so the caller
-        rebuilds from source.
+        or mismatched metadata, a key of ``totals`` that is not a finite
+        non-negative float — quarantines the file so the caller rebuilds
+        from source.
         """
         path = self.stat_path(fingerprint, name)
         if not path.exists():
@@ -554,21 +578,24 @@ class DiskBackend(StatisticsBackend):
             or view.ndim != 1
             or view.shape[0] != int(records)
             or view.dtype != np.dtype(dtype)
+            or not all(_is_total(meta.get(key)) for key in totals)
         ):
             del view
             self._quarantine(path, "stale or mismatched statistic file")
             return None
-        return view
+        return view, meta
 
-    def _require(self, fingerprint: str, name: str, records: int, dtype) -> np.ndarray:
-        view = self._open(fingerprint, name, records, dtype)
-        if view is None:
+    def _require(
+        self, fingerprint: str, name: str, records: int, dtype, totals: tuple[str, ...] = ()
+    ) -> tuple[np.ndarray, dict]:
+        opened = self._open(fingerprint, name, records, dtype, totals)
+        if opened is None:
             raise OSError(
                 f"statistic {name!r} for dataset {fingerprint[:16]} could not be "
                 f"built under {self.directory} (directory unwritable or file "
                 "corrupted during construction)"
             )
-        return view
+        return opened
 
     def _quarantine(self, path: Path, reason: str) -> None:
         """Move a bad statistic file aside with a forensic reason sidecar.
@@ -591,21 +618,24 @@ class DiskBackend(StatisticsBackend):
     def _scratch_path(self, tag: str) -> Path:
         return self.directory / f".build-{os.getpid():x}-{tag}.npy"
 
-    def _finalize(self, tmp: Path, final: Path, fingerprint: str, name: str, records: int, dtype) -> None:
+    def _finalize(
+        self, tmp: Path, final: Path, fingerprint: str, name: str, records: int, dtype,
+        extra: dict | None = None,
+    ) -> None:
         # Metadata lands before the array file: a reader that races the
         # rename either misses the .npy entirely (rebuild path) or sees
         # the complete, validated pair.  The reverse order would let a
         # reader quarantine a perfectly good freshly-built file.
-        self._write_meta(final, fingerprint, name, records, dtype)
+        self._write_meta(final, fingerprint, name, records, dtype, extra or {})
         os.replace(tmp, final)
 
     def _sort_statistic(self, dataset: "Dataset", which: str, dtype) -> np.ndarray:
         fingerprint = dataset.fingerprint
-        view = self._open(fingerprint, which, dataset.size, dtype)
-        if view is not None:
-            return view
-        self._build_sort(dataset, fingerprint)
-        return self._require(fingerprint, which, dataset.size, dtype)
+        opened = self._open(fingerprint, which, dataset.size, dtype)
+        if opened is None:
+            self._build_sort(dataset, fingerprint)
+            opened = self._require(fingerprint, which, dataset.size, dtype)
+        return opened[0]
 
     def _build_sort(self, dataset: "Dataset", fingerprint: str) -> None:
         """External-merge both sort statistics in one pass over the data."""
@@ -655,7 +685,7 @@ class DiskBackend(StatisticsBackend):
                 except OSError:
                     pass
 
-    def _build_weights(
+    def _build_cdf(
         self,
         dataset: "Dataset",
         fingerprint: str,
@@ -663,55 +693,60 @@ class DiskBackend(StatisticsBackend):
         exponent: float,
         mixing: float,
     ) -> None:
-        """Stream proxy_sampling_weights in O(chunk) passes, bit-identically.
+        """Stream :func:`~repro.sampling.sampling_cdf` in O(chunk) passes,
+        bit-identically.
 
-        Pass 1 totals the raw (power-transformed) scores via the
-        pairwise-faithful chunked sum; pass 2 emits each chunk's final
-        weights with the same elementwise expression as the in-memory
-        code.  Elementwise IEEE arithmetic is insensitive to chunk
-        boundaries, and the total is bit-identical by construction, so
-        the file matches ``proxy_sampling_weights`` byte for byte.
+        Two pairwise-faithful chunked sums give ``T`` (over the score
+        powers) and ``W`` (over the weights, which the second sum also
+        writes to the file), the same floats the one-shot sums give.
+        One pass then turns each chunk into its cumulative sum of
+        ``w / W`` in place, with the running total folded into the
+        chunk's first element before its ``cumsum``: every entry is the
+        same sequence of additions as one ``cumsum`` over the whole
+        column.  A second pass divides by the last entry.  ``T`` and
+        ``W`` go into the metadata, so a warm open reads no column.
         """
         self.counters["weight_passes"] += 1
-        scores = dataset.proxy_scores
+        scores = validate_scores(dataset.proxy_scores)
         n = dataset.size
         chunk = self.chunk_records
-
-        def read_raw(lo: int, hi: int) -> np.ndarray:
-            seg = np.asarray(scores[lo:hi], dtype=float)
-            if exponent == 0.0:
-                return np.ones_like(seg)
-            return np.power(seg, exponent)
-
-        total = chunked_pairwise_sum(read_raw, n, chunk)
-        if total == 0.0 and mixing == 0.0:
-            raise ValueError(
-                "all proxy scores are zero and defensive mixing is disabled; "
-                "the sampling distribution is undefined"
-            )
-        uniform = 1.0 / n
+        score_total = float(
+            chunked_pairwise_sum(lambda lo, hi: score_powers(scores[lo:hi], exponent), n, chunk)
+        )
+        require_score_mass(score_total, mixing)
         self.directory.mkdir(parents=True, exist_ok=True)
         tmp = self._scratch_path(name)
         try:
             out = open_memmap(tmp, mode="w+", dtype=np.float64, shape=(n,))
+
+            def weights(lo: int, hi: int) -> np.ndarray:
+                segment = defensive_weights(scores[lo:hi], exponent, mixing, n, score_total)
+                check_weights(segment)
+                _note_chunk(self.counters, segment.nbytes)
+                out[lo:hi] = segment
+                return segment
+
+            weight_total = float(chunked_pairwise_sum(weights, n, chunk))
+            check_weight_total(weight_total)
+            carry = None
             for lo in range(0, n, chunk):
-                hi = min(lo + chunk, n)
-                if total == 0.0:
-                    out[lo:hi] = uniform
-                else:
-                    raw = read_raw(lo, hi)
-                    out[lo:hi] = (1.0 - mixing) * (raw / total) + mixing * uniform
-                    _note_chunk(self.counters, 2 * raw.nbytes)
+                segment = out[lo : lo + chunk]
+                segment /= weight_total
+                if carry is not None:
+                    segment[0] += carry
+                np.cumsum(segment, out=segment)
+                carry = segment[-1]
+            for lo in range(0, n, chunk):
+                out[lo : lo + chunk] /= carry
             out.flush()
             del out
             self._finalize(
-                tmp, self.stat_path(fingerprint, name), fingerprint, name, n, np.float64
+                tmp, self.stat_path(fingerprint, name), fingerprint, name, n, np.float64,
+                {"score_total": score_total, "weight_total": weight_total},
             )
         finally:
-            try:
+            with contextlib.suppress(OSError):
                 tmp.unlink()
-            except OSError:
-                pass
 
 
 # ----------------------------------------------------------------------

@@ -14,9 +14,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sampling import SamplingCDF
 
 __all__ = ["Dataset"]
 
@@ -117,10 +120,10 @@ class Dataset:
     # ------------------------------------------------------------------
     # Cached statistics.  Every selector trial needs the same derived
     # arrays — the sorted proxy scores (Algorithm 5's stage-1 cut) and
-    # the defensive importance weights (Algorithms 4-5) — so a Dataset
-    # computes each once and reuses it across the 100+ trials of an
-    # experiment cell.  *What* each statistic is lives here; *where its
-    # bytes live* is the attached :class:`~repro.core.stats_backend.
+    # the inverse CDF of the defensive importance weights (Algorithms
+    # 4-5) — so a Dataset computes each once and reuses it across the
+    # 100+ trials of an experiment cell.  *What* each statistic is
+    # lives here; *where its bytes live* is the attached :class:`~repro.core.stats_backend.
     # StatisticsBackend` — RAM ndarrays (memory backend) or read-only
     # ``np.memmap`` windows over fingerprint-keyed store files (disk
     # backend), bit-identical either way.  The memoized views live in
@@ -159,11 +162,12 @@ class Dataset:
         dataset objects with identical contents fingerprint equal, so
         labeled samples cached against one are legally served to the
         other.  Computed once per instance (~10 ms per million records)
-        and amortized over every store lookup.
+        and amortized over every store lookup.  The arrays are hashed
+        through their buffers, not copied to ``bytes`` first.
         """
         digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.proxy_scores).tobytes())
-        digest.update(np.ascontiguousarray(self.labels).tobytes())
+        digest.update(np.ascontiguousarray(self.proxy_scores))
+        digest.update(np.ascontiguousarray(self.labels))
         return digest.hexdigest()
 
     @cached_property
@@ -222,36 +226,36 @@ class Dataset:
         self.__dict__["zone_map"] = zone_map
         return zone_map
 
-    def sampling_weights(self, exponent: float, mixing: float) -> np.ndarray:
-        """Defensive importance-sampling weights, cached per ``(exponent, mixing)``.
+    def sampling_cdf(self, exponent: float, mixing: float) -> "SamplingCDF":
+        """The importance draw statistic, cached per ``(exponent, mixing)``.
 
-        Thin memoizing wrapper over the backend's weight provider
-        (bitwise :func:`repro.sampling.proxy_sampling_weights`, in RAM
-        or streamed to a store file); the IS selectors recompute
-        identical weights every trial otherwise, a full O(n) pass over
-        the dataset per selector run.
+        A :class:`~repro.sampling.SamplingCDF`: the read-only inverse CDF
+        of the defensive weights (an ndarray in RAM, or a memmap over a
+        store file) and the two totals that give any record's weight
+        from its score.  Every importance draw searches it, so building
+        it is the only O(n) pass an importance design costs the dataset.
         """
         key = (float(exponent), float(mixing))
-        cache: dict[tuple[float, float], np.ndarray]
-        cache = self.__dict__.setdefault("_weight_cache", {})
-        weights = cache.get(key)
-        if weights is None:
-            weights = self.stats_backend.sampling_weights(self, key[0], key[1])
-            cache[key] = weights
-        return weights
+        cache = self.__dict__.setdefault("_cdf_cache", {})
+        statistic = cache.get(key)
+        if statistic is None:
+            statistic = self.stats_backend.sampling_weights(self, key[0], key[1])
+            cache[key] = statistic
+        return statistic
 
     def warm_statistics(self) -> int:
         """Compute the statistics fork workers read, before they fork.
 
         Fan-outs call this in the parent so every worker inherits one
-        copy of the sorted scores, the score order and the zone map —
-        in-memory arrays as copy-on-write pages, disk statistics as
-        memmaps over the store's files — instead of each worker
-        rebuilding them.  Returns how many cached statistics are
-        file-backed (``np.memmap``), i.e. shared through the page cache.
+        copy of the sorted scores, the score order, the zone map and
+        every CDF drawn from so far — in-memory arrays as copy-on-write
+        pages, disk statistics as memmaps over the store's files —
+        instead of each worker rebuilding them.  Returns how many cached
+        statistics are file-backed (``np.memmap``), i.e. shared through
+        the page cache.
         """
         statistics = [self.sorted_scores, self.score_order]
-        statistics.extend(self.__dict__.get("_weight_cache", {}).values())
+        statistics.extend(stat.cdf for stat in self.__dict__.get("_cdf_cache", {}).values())
         self.zone_map  # built, or read from its statistic file, in the parent
         return sum(isinstance(array, np.memmap) for array in statistics)
 

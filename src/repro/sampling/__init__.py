@@ -14,8 +14,10 @@ from .uniform import uniform_sample, uniform_weights
 from .weighted import (
     DEFAULT_EXPONENT,
     DEFAULT_MIXING,
+    SamplingCDF,
     WeightedSample,
     proxy_sampling_weights,
+    sampling_cdf,
     weighted_sample,
 )
 
@@ -26,6 +28,8 @@ __all__ = [
     "uniform_sample",
     "uniform_weights",
     "proxy_sampling_weights",
+    "sampling_cdf",
+    "SamplingCDF",
     "weighted_sample",
     "WeightedSample",
     "DEFAULT_MIXING",

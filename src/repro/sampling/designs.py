@@ -33,7 +33,6 @@ import numpy as np
 
 from ..metrics import sorted_distinct
 from .uniform import uniform_sample
-from .weighted import weighted_sample
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..datasets import Dataset
@@ -88,8 +87,8 @@ class SampleDesign:
         if self.kind == "uniform":
             indices = uniform_sample(dataset.size, self.budget, rng, replace=self.replace)
             return indices, np.ones(indices.size, dtype=float)
-        weights = dataset.sampling_weights(exponent=self.exponent, mixing=self.mixing)
-        sample = weighted_sample(weights, self.budget, rng)
+        statistic = dataset.sampling_cdf(exponent=self.exponent, mixing=self.mixing)
+        sample = statistic.draw(dataset.proxy_scores, self.budget, rng)
         return sample.indices, sample.mass
 
 

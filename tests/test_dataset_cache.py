@@ -2,8 +2,8 @@
 
 Covers the satellite guarantees of the perf PR: the cached descending
 sort must leave ``IS-CI-P``'s stage-1 cut (``tau_min``) unchanged, the
-weight cache must return the exact ``proxy_sampling_weights`` output,
-and derived datasets (``subset``/``with_scores``) must never observe a
+draw-statistic cache must hold exactly the table ``rng.choice`` builds
+from the ``proxy_sampling_weights`` output, and derived datasets (``subset``/``with_scores``) must never observe a
 stale cache.
 """
 
@@ -59,24 +59,34 @@ class TestSortedScoreCache:
         assert subset.sorted_scores.size == 10
 
 
+def reference_cdf(weights):
+    """The table ``rng.choice(p=weights / weights.sum())`` builds."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
+
+
 class TestWeightCache:
     def test_matches_uncached_weights(self, workload):
-        cached = workload.sampling_weights(exponent=0.5, mixing=0.1)
-        expected = proxy_sampling_weights(workload.proxy_scores, exponent=0.5, mixing=0.1)
-        np.testing.assert_array_equal(cached, expected)
+        cached = workload.sampling_cdf(exponent=0.5, mixing=0.1)
+        weights = proxy_sampling_weights(workload.proxy_scores, exponent=0.5, mixing=0.1)
+        assert cached.cdf.tobytes() == reference_cdf(weights).tobytes()
+        assert cached.weight_total == weights.sum()
+        assert cached.score_total == np.sqrt(workload.proxy_scores).sum()
+        assert cached.weights(workload.proxy_scores).tobytes() == weights.tobytes()
 
     def test_keyed_by_parameters(self, workload):
-        a = workload.sampling_weights(exponent=0.5, mixing=0.1)
-        b = workload.sampling_weights(exponent=0.5, mixing=0.1)
-        c = workload.sampling_weights(exponent=1.0, mixing=0.1)
+        a = workload.sampling_cdf(exponent=0.5, mixing=0.1)
+        b = workload.sampling_cdf(exponent=0.5, mixing=0.1)
+        c = workload.sampling_cdf(exponent=1.0, mixing=0.1)
         assert a is b
         assert a is not c
-        assert not np.array_equal(a, c)
+        assert not np.array_equal(a.cdf, c.cdf)
 
     def test_read_only(self, workload):
-        weights = workload.sampling_weights(DEFAULT_EXPONENT, DEFAULT_MIXING)
+        statistic = workload.sampling_cdf(DEFAULT_EXPONENT, DEFAULT_MIXING)
         with pytest.raises(ValueError):
-            weights[0] = 0.0
+            statistic.cdf[0] = 0.0
 
 
 class TestTwoStageTauMin:
@@ -121,9 +131,11 @@ class TestCacheSemantics:
             name="t",
         )
         _ = dataset.sorted_scores
-        _ = dataset.sampling_weights(0.5, 0.1)
+        statistic = dataset.sampling_cdf(0.5, 0.1)
         clone = pickle.loads(pickle.dumps(dataset))
         np.testing.assert_array_equal(clone.sorted_scores, dataset.sorted_scores)
-        np.testing.assert_array_equal(
-            clone.sampling_weights(0.5, 0.1), dataset.sampling_weights(0.5, 0.1)
+        cloned = clone.__dict__["_cdf_cache"][(0.5, 0.1)]  # carried, not rebuilt
+        assert cloned.cdf.tobytes() == statistic.cdf.tobytes()
+        assert (cloned.score_total, cloned.weight_total) == (
+            statistic.score_total, statistic.weight_total
         )

@@ -2,7 +2,9 @@
 
 The gate fails a change when a head run exits non-zero or reports a
 wrong or failed statement, or when the head's median is worse than the
-base's by more than a metric's bound, in that metric's direction.
+base's by more than a metric's bound, in that metric's direction.  A
+row whose base runs spread wider than the bound reads ``unresolved``
+unless every head run beats every base run; that does not fail.
 """
 
 from __future__ import annotations
@@ -100,3 +102,38 @@ def test_rows_report_quartiles_and_seed_paired_wins():
     assert row[3] == "110–130" and row[5] == "97.5–117.5"
     assert row[7] == "2/4"
     assert found == ["fresh-draw: head run 5 exited 2"]
+
+
+#: Base runs whose interquartile range, 40% of their median, is wider
+#: than the 25% bound.
+WIDE = (0.6, 0.8, 1.0, 1.2, 1.4)
+
+
+def status(metric, base, head):
+    rows, found = verdict([metric], "warm-sweep", base, head)
+    [row] = rows
+    return row[-1], found
+
+
+def test_a_wide_base_spread_leaves_a_row_unresolved():
+    # The head's worst run ties the base's best: not every head run beats.
+    head = runs(100.0, spread=(0.6, 0.5, 0.55))
+    assert status(LATENCY, runs(100.0, spread=WIDE), head) == ("unresolved", [])
+
+
+def test_a_wide_spread_is_resolved_when_every_head_run_wins():
+    head = runs(100.0, spread=(0.5, 0.55, 0.59))
+    assert status(LATENCY, runs(100.0, spread=WIDE), head) == ("ok", [])
+    # Higher is better: every head run above every base run.
+    head = runs(100.0, THROUGHPUT, spread=(1.41, 1.5, 1.6))
+    assert status(THROUGHPUT, runs(100.0, THROUGHPUT, spread=WIDE), head) == ("ok", [])
+
+
+def test_worse_takes_precedence_over_unresolved():
+    verdict_, found = status(LATENCY, runs(100.0, spread=WIDE), runs(130.0, spread=WIDE))
+    assert verdict_ == "WORSE" and len(found) == 1
+
+
+def test_a_narrow_base_spread_stays_ok_without_a_clean_sweep():
+    head = runs(100.0, spread=(0.97, 1.0, 1.05))  # a tie and a loss
+    assert status(LATENCY, runs(100.0), head) == ("ok", [])

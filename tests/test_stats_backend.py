@@ -1,8 +1,8 @@
 """Statistics-backend tests: the bit-identity contract across providers.
 
-The disk backend's external merge sort, streaming weight passes, and
+The disk backend's external merge sort, streaming CDF passes, and
 paged threshold scans must be *byte-identical* to the in-memory path —
-every sorted array, every weight vector, every selection, every query
+every sorted array, every draw statistic, every selection, every query
 result.  These tests pin that contract at three layers: the chunked
 primitives against their numpy references, ``Dataset`` statistics
 across backends, and full engine executions (including ``jobs > 1``
@@ -24,17 +24,17 @@ from repro.core.stats_backend import (
     DEFAULT_CHUNK_RECORDS,
     DiskBackend,
     InMemoryBackend,
+    cdf_stat_name,
     chunked_argsort,
     chunked_pairwise_sum,
     statistic_entries,
-    weight_stat_name,
 )
 from repro.core.pipeline import SampleStore
 from repro.core.zonemap import MIN_INDEXED_SIZE, ScoreZoneMap
 from repro.datasets import Dataset, make_beta_dataset
 from repro.faults import FaultPlan, corrupt_statistic, inject
 from repro.query import SupgEngine
-from repro.sampling import proxy_sampling_weights
+from repro.sampling import proxy_sampling_weights, sampling_cdf
 
 RT = (
     "SELECT * FROM t WHERE O(x) = True ORACLE LIMIT 600 "
@@ -46,12 +46,29 @@ PT = (
 )
 
 
+#: The (exponent, mixing) grid every draw-statistic pin runs over.
+WEIGHT_DESIGNS = [(0.5, 0.1), (1.0, 0.0), (0.0, 0.2), (2.0, 1.0)]
+
+
 def make_dataset(size=MIN_INDEXED_SIZE, seed=3):
     return make_beta_dataset(0.01, 1.0, size=size, seed=seed)
 
 
 def _no_build(*args, **kwargs):
     raise AssertionError("a warm zone-map file must be read, not rebuilt")
+
+
+def _cdf_bytes(statistic):
+    """A draw statistic's table and both totals, as bytes."""
+    totals = np.array([statistic.score_total, statistic.weight_total])
+    return statistic.cdf.tobytes(), totals.tobytes()
+
+
+def _reference_cdf(weights):
+    """The table ``rng.choice(p=weights / weights.sum())`` builds."""
+    cdf = np.cumsum(weights / weights.sum())
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _map_bytes(zone_map):
@@ -127,23 +144,56 @@ class TestBackendParity:
         assert disk.score_order(data).tobytes() == memory.score_order(data).tobytes()
         assert disk.score_order(data).dtype == memory.score_order(data).dtype
 
-    @pytest.mark.parametrize("exponent,mixing", [(0.5, 0.1), (1.0, 0.0), (0.0, 0.2), (2.0, 1.0)])
+    @pytest.mark.parametrize("exponent,mixing", WEIGHT_DESIGNS)
     def test_weights_bitwise(self, tmp_path, exponent, mixing):
+        """The disk CDF and its totals match the memory backend's, which
+        match the table ``rng.choice`` builds from the weight vector."""
         data = make_dataset(size=30000)
         disk = DiskBackend(tmp_path, chunk_records=999)
-        ref = proxy_sampling_weights(data.proxy_scores, exponent=exponent, mixing=mixing)
-        assert disk.sampling_weights(data, exponent, mixing).tobytes() == ref.tobytes()
+        memory = InMemoryBackend().sampling_weights(data, exponent, mixing)
+        weights = proxy_sampling_weights(data.proxy_scores, exponent=exponent, mixing=mixing)
+        assert memory.cdf.tobytes() == _reference_cdf(weights).tobytes()
+        assert memory.weight_total == weights.sum()
+        assert _cdf_bytes(disk.sampling_weights(data, exponent, mixing)) == _cdf_bytes(memory)
+
+    @pytest.mark.parametrize("exponent,mixing", WEIGHT_DESIGNS)
+    def test_cdf_bitwise_at_chunk_edges(self, tmp_path, exponent, mixing):
+        """Chunks of one record, a few, and n - 1, n and n + 1 records."""
+        data = make_dataset(size=1000)
+        memory = _cdf_bytes(sampling_cdf(data.proxy_scores, exponent, mixing))
+        for chunk in (1, 7, data.size - 1, data.size, data.size + 1):
+            disk = DiskBackend(tmp_path / str(chunk), chunk_records=chunk)
+            assert _cdf_bytes(disk.sampling_weights(data, exponent, mixing)) == memory, chunk
 
     def test_zero_scores_without_mixing_raises_identically(self, tmp_path):
         data = Dataset(
             proxy_scores=np.zeros(256), labels=np.zeros(256, dtype=np.int8)
         )
         disk = DiskBackend(tmp_path, chunk_records=17)
-        with pytest.raises(ValueError, match="defensive mixing is disabled"):
-            disk.sampling_weights(data, 1.0, 0.0)
+        for backend in (disk, InMemoryBackend()):
+            with pytest.raises(ValueError, match="defensive mixing is disabled"):
+                backend.sampling_weights(data, 1.0, 0.0)
         # ...and the defensive-mixing escape hatch matches too.
-        ref = proxy_sampling_weights(data.proxy_scores, exponent=1.0, mixing=0.1)
-        assert disk.sampling_weights(data, 1.0, 0.1).tobytes() == ref.tobytes()
+        ref = _reference_cdf(proxy_sampling_weights(data.proxy_scores, exponent=1.0, mixing=0.1))
+        assert disk.sampling_weights(data, 1.0, 0.1).cdf.tobytes() == ref.tobytes()
+        assert disk.sampling_weights(data, 1.0, 0.1).score_total == 0.0
+
+    @pytest.mark.parametrize("backend", ["memory", "disk"])
+    @pytest.mark.parametrize(
+        "exponent,mixing,message",
+        [
+            (-1.0, 0.1, "exponent must be non-negative, got -1.0"),
+            (0.5, 1.5, r"mixing must be in \[0, 1\], got 1.5"),
+        ],
+    )
+    def test_design_errors_read_the_same_on_both_backends(
+        self, tmp_path, backend, exponent, mixing, message
+    ):
+        data = make_dataset(size=1000)
+        provider = DiskBackend(tmp_path) if backend == "disk" else InMemoryBackend()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            provider.sampling_weights(data, exponent, mixing)
+        assert not list(tmp_path.iterdir())
 
     def test_views_are_readonly_memmaps(self, tmp_path):
         data = make_dataset()
@@ -151,18 +201,20 @@ class TestBackendParity:
         assert isinstance(data.sorted_scores, np.memmap)
         assert not data.sorted_scores.flags.writeable
         assert data.sorted_scores is data.sorted_scores  # cached_property memoized
-        weights = data.sampling_weights(0.5, 0.1)
-        assert isinstance(weights, np.memmap)
-        assert not weights.flags.writeable
+        statistic = data.sampling_cdf(0.5, 0.1)
+        assert isinstance(statistic.cdf, np.memmap)
+        assert not statistic.cdf.flags.writeable
+        assert data.sampling_cdf(0.5, 0.1) is statistic
 
     def test_warm_files_skip_construction(self, tmp_path, monkeypatch):
         data = make_dataset(size=40000)
         first = DiskBackend(tmp_path, chunk_records=8192)
         data.use_backend(first)
         data.sorted_scores
-        data.sampling_weights(0.5, 0.1)
+        data.sampling_cdf(0.5, 0.1)
         data.zone_map
         assert first.counters["sorts_performed"] == 1
+        assert first.counters["weight_passes"] == 1
         # Fresh dataset object + fresh backend over the same directory:
         # everything is served from the warm files, zero construction.
         monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
@@ -171,10 +223,7 @@ class TestBackendParity:
         clone.use_backend(warm)
         assert clone.sorted_scores.tobytes() == data.sorted_scores.tobytes()
         assert clone.score_order.tobytes() == data.score_order.tobytes()
-        assert (
-            clone.sampling_weights(0.5, 0.1).tobytes()
-            == data.sampling_weights(0.5, 0.1).tobytes()
-        )
+        assert _cdf_bytes(clone.sampling_cdf(0.5, 0.1)) == _cdf_bytes(data.sampling_cdf(0.5, 0.1))
         assert _map_bytes(clone.zone_map) == _map_bytes(data.zone_map)
         assert warm.counters["sorts_performed"] == 0
         assert warm.counters["weight_passes"] == 0
@@ -252,7 +301,70 @@ print(json.dumps({"growth_kib": vm_hwm_kib() - baseline_kib,
 """
 
 
+#: A fresh interpreter loads a 1M table from ``.npy`` files, registers it
+#: with a disk engine over a warm store, and runs whole queries: an RT and
+#: a two-stage PT statement on seeds the store has not seen, so both draw.
+_WHOLE_QUERY_CHILD = """\
+import hashlib, json, sys
+import numpy as np
+from repro.datasets import Dataset
+from repro.query import SupgEngine
+
+def vm_hwm_kib():
+    with open("/proc/self/status") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+store, scores, labels = sys.argv[1:4]
+engine = SupgEngine(store_dir=store, backend="disk")
+engine.register_table("t", Dataset(np.load(scores), np.load(labels), name="t"))
+baseline_kib = vm_hwm_kib()
+digests = []
+for sql, seed in zip(sys.argv[4::2], sys.argv[5::2]):
+    result = engine.execute(sql, seed=int(seed)).result
+    digests.append(hashlib.sha256(result.indices.tobytes()).hexdigest())
+stats = engine.session_stats()
+print(json.dumps({"growth_kib": vm_hwm_kib() - baseline_kib, "digests": digests,
+                  "sorts": stats["sorts_performed"], "weight_passes": stats["weight_passes"]}))
+"""
+
+
 class TestBoundedMemory:
+    @pytest.mark.skipif(not _has_vm_hwm(), reason="needs VmHWM in /proc/self/status")
+    def test_whole_queries_grow_rss_by_less_than_a_weight_vector(self, tmp_path):
+        """Draws read the cached CDF and the sampled records' scores: a
+        warm 1M query on disk never holds an n-length float vector."""
+        size, budget = 1_000_000, 10_000
+        data = make_dataset(size=size)
+        store = tmp_path / "store"
+        warm = SupgEngine(store_dir=str(store), backend="disk")
+        warm.register_table("t", data)
+        rt = RT.replace("600", str(budget)).format(gamma=90)
+        pt = PT.replace("600", str(budget))
+        for seed, sql in enumerate((rt, pt)):  # builds every statistic file
+            warm.execute(sql, seed=seed)
+        statements = [(rt, 41), (pt, 42)]  # seeds the store has not drawn
+        reference = SupgEngine()
+        reference.register_table("t", make_dataset(size=size))
+        expected = [
+            hashlib.sha256(reference.execute(sql, seed=seed).result.indices.tobytes()).hexdigest()
+            for sql, seed in statements
+        ]
+        np.save(tmp_path / "scores.npy", data.proxy_scores)
+        np.save(tmp_path / "labels.npy", data.labels)
+        child = subprocess.run(
+            [sys.executable, "-c", _WHOLE_QUERY_CHILD, str(store), str(tmp_path / "scores.npy"),
+             str(tmp_path / "labels.npy"), *[str(part) for pair in statements for part in pair]],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
+        )
+        assert child.returncode == 0, child.stderr
+        probe = json.loads(child.stdout)
+        assert probe["digests"] == expected
+        assert probe["sorts"] == 0 and probe["weight_passes"] == 0
+        assert probe["growth_kib"] * 1024 < data.proxy_scores.nbytes
+
     @pytest.mark.skipif(not _has_vm_hwm(), reason="needs VmHWM in /proc/self/status")
     def test_paged_scans_grow_rss_by_a_fraction_of_the_statistics(self, tmp_path):
         size = 1_000_000
@@ -321,6 +433,24 @@ class TestCorruptionRecovery:
         fresh.sorted_scores(make_dataset(size=40000))
         assert fresh.counters["stats_quarantined"] == 1
 
+    @pytest.mark.parametrize("forged", [None, "NaN", -1.0, "0.5"])
+    def test_cdf_with_bad_totals_is_quarantined(self, tmp_path, forged):
+        """A CDF file whose sidecar lacks a usable weight total is rebuilt."""
+        data = make_dataset(size=40000)
+        built = DiskBackend(tmp_path, chunk_records=8192).sampling_weights(data, 0.5, 0.1)
+        path = DiskBackend(tmp_path).stat_path(data.fingerprint, cdf_stat_name(0.5, 0.1))
+        meta_path = path.with_name(path.name + ".meta.json")
+        meta = json.loads(meta_path.read_text())
+        if forged is None:
+            del meta["weight_total"]
+        else:
+            meta["weight_total"] = float(forged) if forged == "NaN" else forged
+        meta_path.write_text(json.dumps(meta))
+        fresh = DiskBackend(tmp_path, chunk_records=8192)
+        assert _cdf_bytes(fresh.sampling_weights(data, 0.5, 0.1)) == _cdf_bytes(built)
+        assert fresh.counters["stats_quarantined"] == 1
+        assert fresh.counters["weight_passes"] == 1
+
     def test_statistic_entries_reports_warm_and_stale(self, tmp_path):
         data = make_dataset(size=40000)
         backend = DiskBackend(tmp_path, chunk_records=8192)
@@ -330,7 +460,9 @@ class TestCorruptionRecovery:
         assert len(entries) == 3
         assert all(entry["state"] == "warm" for entry in entries)
         names = {entry["stat"] for entry in entries}
-        assert names == {"sorted-scores", "score-order", weight_stat_name(0.5, 0.1)}
+        assert names == {"sorted-scores", "score-order", cdf_stat_name(0.5, 0.1)}
+        assert cdf_stat_name(0.5, 0.1) == "cdf-0.5-0.1"
+        assert any(entry["file"].endswith("-cdf-0.5-0.1.npy") for entry in entries)
         assert all(entry["fingerprint"] == data.fingerprint for entry in entries)
         corrupt_statistic(tmp_path, which=0, mode="garbage")
         states = {e["file"]: e["state"] for e in statistic_entries(tmp_path)}
