@@ -15,9 +15,11 @@ gate.
 For every workload the script runs ``PAIRS`` pairs of untraced runs of
 ``run_seconds`` each.  Both runs of a pair take the pair number as
 their seed, and the side that runs first alternates from pair to pair.
-It first prints the Python and numpy versions and the CPU count of the
-interpreter the runs use: a gain can hang on one numpy release (numpy
-2.4's ``unique`` re-sorts sorted input), and CI installs numpy
+It first prints the Python and numpy versions, numpy's SIMD level and
+the CPU count of the interpreter the runs use: a gain can hang on one
+numpy release (numpy 2.4's ``unique`` re-sorts sorted input) or on the
+CPU (the default ``argsort`` under the stable score order is about 3x
+faster with AVX-512 than without SIMD), and CI installs numpy
 unpinned.  Then it prints one row per workload and end-to-end metric
 with each side's median and quartiles, the change, how many seed-paired
 runs the head won in the metric's ``better`` direction (ties count for
@@ -87,11 +89,26 @@ def run_problems(workload: str, side: str, runs: list[dict]) -> list[str]:
     return problems
 
 
+#: The SIMD levels numpy's sorts dispatch to, fastest first, as ``(name,
+#: numpy 2.4+ target group)``.  x86-simd-sort serves the default
+#: ``argsort`` at either level, which the stable score order is built on.
+SIMD_LEVELS = (("AVX512_SKX", "X86_V4"), ("AVX2", "X86_V3"))
+
+
 def environment(interpreter: str) -> str:
-    """One line naming the Python, numpy and CPU count of ``interpreter``."""
+    """One line naming the Python, numpy, SIMD level and CPU count of
+    ``interpreter``.
+
+    The SIMD level is the fastest of :data:`SIMD_LEVELS` that numpy's
+    ``__cpu_features__`` enables (``NPY_DISABLE_CPU_FEATURES`` switches
+    levels off), or ``baseline``.
+    """
     probe = (
-        "import os, platform, numpy; print(f'python {platform.python_version()}, "
-        "numpy {numpy.__version__}, os.cpu_count() {os.cpu_count()}')"
+        "import os, platform, numpy\n"
+        "from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+        f"simd = next((n for n, g in {SIMD_LEVELS!r} if f.get(g, f.get(n))), 'baseline')\n"
+        "print(f'python {platform.python_version()}, numpy {numpy.__version__}, "
+        "simd {simd}, os.cpu_count() {os.cpu_count()}')"
     )
     out = subprocess.run([interpreter, "-c", probe], capture_output=True, text=True, check=True)
     return out.stdout.strip()

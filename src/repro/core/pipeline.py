@@ -373,6 +373,20 @@ class SampleStore:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
+    def forget(self, fingerprint: str) -> int:
+        """Drop the in-memory samples of one dataset content; returns how many.
+
+        For a table that was replaced: its samples could only ever be
+        served to the same content again, so they would sit in the LRU
+        until evicted.  Counters and spill files persist, as in
+        :meth:`clear`.
+        """
+        with self._lock:
+            stale = [key for key in self._entries if key[0] == fingerprint]
+            for key in stale:
+                del self._entries[key]
+        return len(stale)
+
     def clear(self) -> None:
         """Drop every in-memory sample (counters and spill files persist).
 

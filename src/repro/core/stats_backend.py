@@ -15,16 +15,19 @@ This module puts a provider interface between *what a statistic is* and
 *where its bytes live*:
 
 ``InMemoryBackend``
-    The historical behavior, bit for bit: ``np.sort``,
-    ``np.argsort(kind="stable")`` and :func:`repro.sampling.sampling_cdf`
-    on RAM arrays, and
+    The historical statistics, bit for bit, on RAM arrays: ``np.sort``,
+    the stable argsort from :func:`stable_argsort` (numpy's SIMD
+    ``argsort`` plus a re-sort of each run of tied scores by record
+    index, byte-identical to ``np.argsort(kind="stable")``),
+    :func:`repro.sampling.sampling_cdf`, and
     :meth:`ScoreZoneMap.build <repro.core.zonemap.ScoreZoneMap.build>`.
 
 ``DiskBackend``
     Statistics live in fingerprint-keyed ``.npy`` files under the store
     directory and are handed back as read-only ``np.memmap`` windows.
     Construction never materializes an O(n) temporary: the sort runs as
-    a chunked external merge sort (stable, byte-identical to
+    a chunked external merge sort (:func:`stable_argsort` per chunk,
+    timsort merges of adjacent runs; byte-identical to
     ``np.argsort(kind="stable")``) and each inverse CDF streams through
     in O(chunk) passes whose floating-point result is bit-identical to
     the one-shot in-memory computation (see :func:`chunked_pairwise_sum`
@@ -53,6 +56,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -88,6 +92,7 @@ __all__ = [
     "chunked_argsort",
     "chunked_pairwise_sum",
     "external_stable_argsort",
+    "stable_argsort",
     "statistic_entries",
     "ZONE_MAP_STAT",
 ]
@@ -156,18 +161,62 @@ def cdf_stat_name(exponent: float, mixing: float) -> str:
     return f"cdf-{float(exponent):g}-{float(mixing):g}"
 
 
+def stable_argsort(values, ranked=None) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, byte for byte, at SIMD speed.
+
+    For floats the stable kind is timsort, which no SIMD sort serves;
+    numpy's default ``argsort`` dispatches to x86-simd-sort on AVX2 and
+    AVX-512 but leaves equal values in no particular order.  So this
+    sorts with the default kind, then re-sorts the indices of every run
+    of equal values: one ``int64`` sort of ``run_id * n + index`` over
+    the records whose value ties a neighbour's (at most ``n / 2`` runs,
+    so the keys fit ``int64`` for ``n`` below ``2**32``).  NaNs sort
+    last in every numpy sort, and their run is re-sorted like any other.
+
+    ``ranked`` is the ascending values (``np.sort(values)`` will do);
+    only where its runs of equal values start and end is read, so any
+    layout of equal-comparing ``±0.0`` serves.  When it is not given the
+    values are gathered through the unstable order.
+    """
+    values = np.asarray(values)
+    order = np.argsort(values)
+    n = order.size
+    if n < 2:
+        return order
+    if ranked is None:
+        ranked = values[order]
+    tied = ranked[1:] == ranked[:-1]
+    if ranked[-1] != ranked[-1]:  # NaNs, sorted last, compare unequal
+        tied[np.searchsorted(ranked, ranked[-1]) :] = True
+    if not tied.any():
+        return order
+    member = np.zeros(n, dtype=bool)
+    member[1:] = tied
+    member[:-1] |= tied
+    where = np.flatnonzero(member)
+    run_starts = np.empty(where.size, dtype=bool)
+    run_starts[0] = True
+    np.logical_not(tied[where[1:] - 1], out=run_starts[1:])
+    base = np.cumsum(run_starts, dtype=np.int64) * n
+    key = base + order[where]
+    key.sort()
+    key -= base
+    order[where] = key
+    return order
+
+
 # ----------------------------------------------------------------------
 # Chunked external merge sort.
 #
-# Phase 1 argsorts each contiguous chunk with ``kind="stable"`` and
-# writes the runs (sorted scores + global indices) into a scratch
-# buffer.  Phase 2 repeatedly merges *adjacent* run pairs blockwise:
-# because the left run's indices are all smaller than the right run's,
-# a merge that breaks score ties in favor of the left run reproduces the
-# global stable argsort exactly.  Buffers ping-pong between passes; the
-# initial buffer is chosen by pass-count parity so the final pass lands
-# in the caller's primary buffer.  Peak RSS is O(chunk): each step
-# touches at most one chunk-sized block per run plus the merged block.
+# Phase 1 stable-argsorts each contiguous chunk and writes the runs
+# (sorted scores + global indices) into a scratch buffer.  Phase 2
+# repeatedly merges *adjacent* run pairs blockwise: because the left
+# run's indices are all smaller than the right run's, a merge that
+# breaks score ties in favor of the left run reproduces the global
+# stable argsort exactly.  Buffers ping-pong between passes; the initial
+# buffer is chosen by pass-count parity so the final pass lands in the
+# caller's primary buffer.  Peak RSS is O(chunk): each step touches at
+# most one chunk-sized block per run plus the merged block.
 # ----------------------------------------------------------------------
 
 
@@ -197,8 +246,9 @@ def _merge_adjacent_runs(
     prefixes that can be emitted without seeing more data (every left
     element ``<=`` the left block's last score is final once the right
     block's strictly-smaller prefix is known, and vice versa), and
-    interleaves them positionally via ``searchsorted`` — no Python-level
-    per-element loop.
+    merges them with one stable ``argsort`` of their concatenation:
+    timsort finds the two ascending runs and merges them, and on ties
+    it keeps the left run first.
     """
     src_scores, src_order = src
     dst_scores, dst_order = dst
@@ -214,42 +264,30 @@ def _merge_adjacent_runs(
         b_blk = np.asarray(src_scores[ib : min(ib + chunk, b_hi)])
         last_a = a_blk[-1]
         last_b = b_blk[-1]
-        if last_a <= last_b:
+        if last_a <= last_b or last_b != last_b:
             # Every element of a_blk is final; b's strictly-below-last_a
             # prefix is final (ties wait so the left run emits first).
+            # NaN sorts last, as ``searchsorted`` assumes.
             na = int(a_blk.size)
             nb = int(np.searchsorted(b_blk, last_a, side="left"))
         else:
             na = int(np.searchsorted(a_blk, last_b, side="right"))
             nb = int(b_blk.size)
-        a_emit = a_blk[:na]
-        b_emit = b_blk[:nb]
-        # Final position of each emitted element inside the merged
-        # block: its own rank plus the count of other-run elements that
-        # precede it (left-priority on ties).
-        pos_a = np.arange(na, dtype=np.intp) + np.searchsorted(
-            b_emit, a_emit, side="left"
-        )
-        pos_b = np.arange(nb, dtype=np.intp) + np.searchsorted(
-            a_emit, b_emit, side="right"
-        )
-        merged_scores = np.empty(na + nb, dtype=a_blk.dtype)
-        merged_order = np.empty(na + nb, dtype=np.intp)
-        merged_scores[pos_a] = a_emit
-        merged_scores[pos_b] = b_emit
-        merged_order[pos_a] = np.asarray(src_order[ia : ia + na])
-        merged_order[pos_b] = np.asarray(src_order[ib : ib + nb])
-        dst_scores[out : out + na + nb] = merged_scores
-        dst_order[out : out + na + nb] = merged_order
+        scores = np.concatenate([a_blk[:na], b_blk[:nb]])
+        merge = np.argsort(scores, kind="stable")
+        dst_scores[out : out + na + nb] = scores[merge]
+        # One concatenated column and its gather at a time, beside the
+        # two blocks and the permutation.
+        del scores
+        order = np.concatenate([src_order[ia : ia + na], src_order[ib : ib + nb]])
+        dst_order[out : out + na + nb] = order[merge]
         ia += na
         ib += nb
         out += na + nb
         if counters is not None:
             counters["chunks_merged"] += 1
-        _note_chunk(
-            counters,
-            a_blk.nbytes + b_blk.nbytes + merged_scores.nbytes + merged_order.nbytes,
-        )
+        # The two blocks and the merged block's scores and order.
+        _note_chunk(counters, a_blk.nbytes + b_blk.nbytes + 2 * merge.nbytes)
 
 
 def external_stable_argsort(
@@ -285,7 +323,7 @@ def external_stable_argsort(
         return primary
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = np.asarray(values[lo:hi], dtype=float)
-        local = np.argsort(part, kind="stable")
+        local = stable_argsort(part)
         src[0][lo:hi] = part[local]
         src[1][lo:hi] = local + lo
         _note_chunk(counters, 2 * part.nbytes + 2 * local.nbytes)
@@ -411,7 +449,13 @@ class StatisticsBackend:
 
 
 class InMemoryBackend(StatisticsBackend):
-    """The historical RAM path, bit for bit."""
+    """The historical RAM path, bit for bit.
+
+    ``score_order`` runs :func:`stable_argsort` over the dataset's
+    ``sorted_scores``, so it reads the tie runs from the ``np.sort``
+    output the zone map needs anyway instead of gathering the scores
+    again; each of the two sorts counts once in ``sorts_performed``.
+    """
 
     def sorted_scores(self, dataset: "Dataset") -> np.ndarray:
         self.counters["sorts_performed"] += 1
@@ -421,7 +465,7 @@ class InMemoryBackend(StatisticsBackend):
 
     def score_order(self, dataset: "Dataset") -> np.ndarray:
         self.counters["sorts_performed"] += 1
-        out = np.argsort(dataset.proxy_scores, kind="stable")
+        out = stable_argsort(dataset.proxy_scores, dataset.sorted_scores)
         out.flags.writeable = False
         return out
 
@@ -754,6 +798,30 @@ class DiskBackend(StatisticsBackend):
 # ----------------------------------------------------------------------
 
 
+def _backend_reads(filename: str) -> bool:
+    """Whether a backend opens a statistic file of this name: a sort
+    statistic, the zone map, or the inverse CDF of a valid design."""
+    match = re.fullmatch(r"stat-.{16}-(.+)\.npy", filename)
+    if match is None:
+        return False
+    name = match[1]
+    if name in ("sorted-scores", "score-order", ZONE_MAP_STAT):
+        return True
+    if not name.startswith("cdf-"):
+        return False
+    design = name[len("cdf-") :]
+    # ``:g`` may write a minus sign inside a number (``1e-05``), so try
+    # every dash as the separator.
+    for cut in (i for i, char in enumerate(design) if char == "-"):
+        try:
+            exponent, mixing = validate_design(design[:cut], design[cut + 1 :])
+        except ValueError:
+            continue
+        if cdf_stat_name(exponent, mixing) == name:
+            return True
+    return False
+
+
 def statistic_entries(directory) -> list[dict[str, object]]:
     """Describe every backend statistic file under ``directory``.
 
@@ -761,7 +829,9 @@ def statistic_entries(directory) -> list[dict[str, object]]:
     dataset fingerprint (from the metadata sidecar) and a ``state`` of
     ``"warm"`` (valid pair) or ``"stale"`` (unreadable, or metadata
     missing, of another format version or mismatched — the backend would
-    quarantine and rebuild it on access).
+    quarantine and rebuild it on access — or a statistic no backend
+    reads any more, such as the weight vectors that inverse CDFs
+    replaced).
     """
     base = Path(directory).expanduser()
     entries: list[dict[str, object]] = []
@@ -772,7 +842,7 @@ def statistic_entries(directory) -> list[dict[str, object]]:
             "file": path.name,
             "bytes": int(path.stat().st_size),
         }
-        state = "warm"
+        state = "warm" if _backend_reads(path.name) else "stale"
         records = None
         try:
             view = np.load(path, mmap_mode="r", allow_pickle=False)

@@ -263,13 +263,17 @@ class SupgEngine:
         routed through the engine's statistics backend.  Nothing is
         sorted, built or written here: the first query that needs a
         statistic asks the backend, which over a warm disk store reads
-        it without sorting.
+        it without sorting.  Registering over a name drops the replaced
+        dataset's samples from the in-memory store
+        (:meth:`_forget_samples`).
         """
         if not name:
             raise ValueError("table name must be non-empty")
         dataset.use_backend(self._stats_backend)
-        self._tables[name] = dataset
-        self._invalidate_derived(table=name)
+        with self._lock:
+            replaced = self._tables.get(name)
+            self._tables[name] = dataset
+        self._forget_samples([replaced, *self._invalidate_derived(table=name)])
 
     def register_oracle_udf(self, name: str, fn: OracleUdf) -> None:
         """Register a WHERE-clause oracle predicate by UDF name."""
@@ -278,7 +282,7 @@ class SupgEngine:
     def register_proxy_udf(self, name: str, fn: ProxyUdf) -> None:
         """Register a USING-clause proxy scorer by UDF name."""
         self._proxy_udfs[name.upper()] = fn
-        self._invalidate_derived(proxy=name.upper())
+        self._forget_samples(self._invalidate_derived(proxy=name.upper()))
 
     def tables(self) -> tuple[str, ...]:
         """Registered table names."""
@@ -325,15 +329,35 @@ class SupgEngine:
         self._context.store.clear()
         self._derived.clear()
 
-    def _invalidate_derived(self, table: str | None = None, proxy: str | None = None) -> None:
-        stale = [
-            key
-            for key in self._derived
-            if (table is not None and key[0] == table)
-            or (proxy is not None and key[1] == proxy)
-        ]
-        for key in stale:
-            del self._derived[key]
+    def _invalidate_derived(
+        self, table: str | None = None, proxy: str | None = None
+    ) -> list[Dataset]:
+        """Drop the derived datasets of a table or proxy UDF; returns them."""
+        with self._lock:
+            stale = [
+                key
+                for key in self._derived
+                if (table is not None and key[0] == table)
+                or (proxy is not None and key[1] == proxy)
+            ]
+            return [self._derived.pop(key) for key in stale]
+
+    def _forget_samples(self, dropped: Sequence[Dataset | None]) -> None:
+        """Drop the stored samples of datasets this session no longer holds.
+
+        Reads only fingerprints already computed, so registering never
+        hashes a table, and skips content that a registered table or a
+        cached derived dataset still holds.  A draw depends only on
+        content, design and seed, so forgetting can cost a later query
+        a redraw, never a different result.
+        """
+        fingerprints = {d.__dict__.get("fingerprint") for d in dropped if d is not None}
+        with self._lock:
+            for held in (*self._tables.values(), *self._derived.values()):
+                fingerprints.discard(held.__dict__.get("fingerprint"))
+        fingerprints.discard(None)
+        for fingerprint in fingerprints:
+            self._context.store.forget(fingerprint)
 
     # -- compilation -----------------------------------------------------------
 

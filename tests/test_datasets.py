@@ -76,6 +76,21 @@ class TestDatasetContainer:
         with pytest.raises(ValueError, match="at least one"):
             Dataset(proxy_scores=np.array([]), labels=np.array([]))
 
+    @pytest.mark.parametrize(
+        "labels",
+        [np.array([True, False]), np.array([1, 0], dtype=np.int8), np.array([1.0, 0.0])],
+        ids=["bool", "int8", "float"],
+    )
+    def test_binary_labels_of_any_dtype_are_accepted(self, labels):
+        data = Dataset(proxy_scores=np.array([0.5, 0.25]), labels=labels)
+        assert data.labels.dtype == np.int8
+        np.testing.assert_array_equal(data.labels, [1, 0])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_non_binary_labels_are_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"labels must be binary \(0/1\)"):
+            Dataset(proxy_scores=np.array([0.5, 0.25]), labels=np.array([1.0, bad]))
+
     def test_describe_mentions_name_and_rate(self, tiny_dataset):
         text = tiny_dataset.describe()
         assert "tiny" in text and "4 positives" in text

@@ -12,12 +12,13 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 sys.path.insert(0, str(SCRIPTS))
 try:
-    from perf_ab import verdict
+    from perf_ab import SIMD_LEVELS, environment, verdict
 finally:
     sys.path.remove(str(SCRIPTS))
 
@@ -137,3 +138,14 @@ def test_worse_takes_precedence_over_unresolved():
 def test_a_narrow_base_spread_stays_ok_without_a_clean_sweep():
     head = runs(100.0, spread=(0.97, 1.0, 1.05))  # a tie and a loss
     assert status(LATENCY, runs(100.0), head) == ("ok", [])
+
+
+def test_environment_names_python_numpy_simd_and_cpus():
+    """The line a gain is read against: the SIMD level decides how fast
+    the default ``argsort`` under the stable score order runs."""
+    line = environment(sys.executable)
+    assert line.startswith("python ")
+    fields = dict(part.rsplit(" ", 1) for part in line.split(", "))
+    assert fields["numpy"] == np.__version__
+    assert fields["simd"] in {name for name, _ in SIMD_LEVELS} | {"baseline"}
+    assert int(fields["os.cpu_count()"]) >= 1

@@ -325,6 +325,25 @@ class TestSampleStore:
         store.fetch(b, design, 0)
         assert store.hits == 1 and store.misses == 1
 
+    def test_forget_drops_one_contents_samples(self, workload):
+        other = make_beta_dataset(0.01, 2.0, size=30_000, seed=11)
+        store = SampleStore()
+        design = SampleDesign(kind="uniform", budget=100)
+        store.fetch(workload, design, 0)
+        store.fetch(workload, design, 1)
+        store.fetch(other, design, 0)
+        before = store.stats()
+        assert store.forget(workload.fingerprint) == 2
+        assert store.forget(workload.fingerprint) == 0
+        assert len(store) == 1
+        after = store.stats()
+        assert {k: v for k, v in after.items() if k not in ("entries", "nbytes")} == {
+            k: v for k, v in before.items() if k not in ("entries", "nbytes")
+        }
+        store.fetch(other, design, 0)
+        store.fetch(workload, design, 0)
+        assert store.hits == 1 and store.misses == 4
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="max_entries"):
             SampleStore(max_entries=0)

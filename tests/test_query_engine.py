@@ -166,6 +166,53 @@ class TestSession:
         assert second.dataset.size == 10_000
         assert first.dataset.size != second.dataset.size
 
+    def test_replaced_table_samples_leave_the_store(self, beta_dataset):
+        eng = SupgEngine()
+        eng.register_table("video", beta_dataset)
+        eng.execute(RT_SQL, seed=0)
+        eng.execute(PT_SQL, seed=0)
+        assert eng.session_stats()["entries"] == 2
+        replacement = beta_dataset.subset(np.arange(20_000))
+        eng.register_table("video", replacement)
+        assert eng.session_stats()["entries"] == 0
+        got = eng.execute(RT_SQL, seed=0).result
+        fresh = SupgEngine()
+        fresh.register_table("video", replacement)
+        want = fresh.execute(RT_SQL, seed=0).result
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.tau == want.tau
+        assert eng.session_stats()["misses"] == 3
+
+    def test_samples_stay_while_a_registered_table_holds_the_content(self, beta_dataset):
+        eng = SupgEngine()
+        eng.register_table("video", beta_dataset)
+        eng.register_table("copy", beta_dataset)
+        eng.execute(RT_SQL, seed=0)
+        eng.register_table("video", beta_dataset.subset(np.arange(20_000)))
+        assert eng.session_stats()["entries"] == 1
+        again = eng.execute(RT_SQL.replace("FROM video", "FROM copy"), seed=0)
+        assert eng.session_stats()["hits"] == 1
+        assert eng.session_stats()["misses"] == 1
+        fresh = SupgEngine()
+        fresh.register_table("video", beta_dataset)
+        want = fresh.execute(RT_SQL, seed=0).result
+        assert again.result.indices.tobytes() == want.indices.tobytes()
+
+    def test_reregistering_the_same_table_keeps_its_samples(self, engine, beta_dataset):
+        engine.execute(RT_SQL, seed=0)
+        engine.register_table("video", beta_dataset)
+        assert engine.session_stats()["entries"] == 1
+        engine.execute(RT_SQL, seed=0)
+        assert engine.session_stats()["hits"] == 1
+
+    def test_dropped_derived_dataset_samples_leave_the_store(self, engine):
+        engine.execute(RT_SQL, seed=0)
+        engine.register_proxy_udf("PROXY_SCORE", lambda ds: 1.0 - ds.proxy_scores)
+        engine.execute(RT_SQL, seed=0)
+        assert engine.session_stats()["entries"] == 2
+        engine.register_proxy_udf("PROXY_SCORE", lambda ds: ds.proxy_scores ** 2)
+        assert engine.session_stats()["entries"] == 1
+
     def test_reset_session_clears_store(self, engine):
         engine.execute(RT_SQL, seed=0)
         engine.reset_session()

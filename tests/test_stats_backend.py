@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.core.stats_backend import (
@@ -27,6 +29,7 @@ from repro.core.stats_backend import (
     cdf_stat_name,
     chunked_argsort,
     chunked_pairwise_sum,
+    stable_argsort,
     statistic_entries,
 )
 from repro.core.pipeline import SampleStore
@@ -79,8 +82,43 @@ def _map_bytes(zone_map):
 
 
 # ----------------------------------------------------------------------
-# Chunked external sort: property-style pins against np.argsort(stable).
+# Stable argsort and the chunked external sort: pins against
+# np.argsort(kind="stable").
 # ----------------------------------------------------------------------
+
+#: Values that tie or sort in special ways: signed zeros, infinities, NaN.
+SPECIAL_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, 1.0]
+
+
+@st.composite
+def tied_arrays(draw):
+    """0 to ~2k floats: uniform randoms with a drawn share of them
+    replaced from a pool of up to 8 values (specials and arbitrary
+    floats), so runs of ties range from none to all-equal."""
+    n = draw(st.integers(0, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.random(n)
+    pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(), max_size=8))
+    if pool:
+        share = draw(st.sampled_from([0.05, 0.5, 0.95, 1.0]))
+        tied = rng.random(n) < share
+        values[tied] = rng.choice(np.array(pool, dtype=float), size=int(tied.sum()))
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=tied_arrays() | st.lists(st.sampled_from(SPECIAL_VALUES), max_size=3).map(np.array))
+@example(values=np.array([], dtype=float))
+@example(values=np.full(1000, 0.25))
+@example(values=np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0]))
+@example(values=np.array([np.nan, 1.0, np.nan, -np.inf, np.inf, np.nan, np.inf]))
+def test_stable_argsort_matches_numpy_stable_in_bytes(values):
+    values = np.asarray(values, dtype=float)
+    want = np.argsort(values, kind="stable")
+    for ranked in (None, np.sort(values), values[want]):
+        got = stable_argsort(values, ranked)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestChunkedArgsort:
@@ -104,6 +142,16 @@ class TestChunkedArgsort:
         values[1::7] = -np.inf
         _, order = chunked_argsort(values, chunk)
         assert order.tobytes() == np.argsort(values, kind="stable").tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 17, 10**6])
+    @pytest.mark.parametrize("pool", [[-0.0, 0.0, 0.5], [np.nan, -0.0, 0.0, 1.0]],
+                             ids=["signed-zeros", "nan"])
+    def test_mixed_signed_zeros_and_nan(self, chunk, pool):
+        values = np.random.default_rng(chunk).choice(pool, size=301)
+        sorted_values, order = chunked_argsort(values, chunk)
+        ref_order = np.argsort(values, kind="stable")
+        assert order.tobytes() == ref_order.tobytes()
+        assert sorted_values.tobytes() == values[ref_order].tobytes()
 
     def test_all_equal(self):
         values = np.full(513, 0.25)
@@ -467,6 +515,21 @@ class TestCorruptionRecovery:
         corrupt_statistic(tmp_path, which=0, mode="garbage")
         states = {e["file"]: e["state"] for e in statistic_entries(tmp_path)}
         assert sorted(states.values()) == ["stale", "warm", "warm"]
+
+    def test_statistic_no_backend_reads_is_stale(self, tmp_path):
+        """A weight-vector file from before the inverse CDFs is a valid
+        pair that no backend opens any more."""
+        data = make_dataset(size=40000)
+        backend = DiskBackend(tmp_path, chunk_records=8192)
+        backend.sampling_weights(data, 0.5, 0.1)
+        cdf_path = backend.stat_path(data.fingerprint, cdf_stat_name(0.5, 0.1))
+        forged = backend.stat_path(data.fingerprint, "weights-0.5-0.1")
+        forged.write_bytes(cdf_path.read_bytes())
+        meta = json.loads(Path(f"{cdf_path}.meta.json").read_text())
+        meta["stat"] = "weights-0.5-0.1"
+        Path(f"{forged}.meta.json").write_text(json.dumps(meta))
+        states = {entry["file"]: entry["state"] for entry in statistic_entries(tmp_path)}
+        assert states == {cdf_path.name: "warm", forged.name: "stale"}
 
     def test_clear_disk_removes_statistic_files(self, tmp_path):
         data = make_dataset(size=40000)
