@@ -13,10 +13,11 @@ Subcommands:
 - ``repro plan``     — recommend an oracle budget for a query, or
   (given a ``queries.sql`` file) print the batch dedup plan — which
   statements share which oracle draws, and the predicted labels —
-  without executing anything (``--store-dir`` additionally diffs the
-  plan against a live store: which draws are already warm);
+  without executing anything (``--store-dir`` additionally draws each
+  planned design and counts the records whose label the store's label
+  column lacks: the labels the batch would still pay);
 - ``repro store``    — inspect (``ls``) or empty (``clear``) a
-  persistent ``--store-dir`` sample store;
+  persistent ``--store-dir``: label columns and statistic files;
 - ``repro experiment`` — regenerate a paper table/figure (optionally
   saving its data series as JSON).
 
@@ -35,9 +36,9 @@ import time
 from pathlib import Path
 
 from .bounds import available_bounds, get_bound
-from .core.pipeline import QUARANTINE_DIRNAME, ExecutionContext, SampleStore
+from .core.pipeline import ExecutionContext, SampleStore
 from .core.planning import plan_budget
-from .core.stats_backend import statistic_entries
+from .core.stats_backend import QUARANTINE_DIRNAME, statistic_entries
 from .core.types import ApproxQuery
 from .datasets import available_datasets, load_dataset
 from .experiments import ALL_EXPERIMENTS, resolve_n_jobs
@@ -153,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         type=Path,
         default=None,
-        help="persistent sample-store directory; repeated runs sharing it "
-        "reuse labeled oracle samples instead of re-drawing them",
+        help="persistent store directory: one oracle label column per "
+        "dataset, so repeated runs sharing it pay for each record's label once",
     )
     _add_oracle_robustness_flags(query)
     _add_backend_flags(query)
@@ -196,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         type=Path,
         default=None,
-        help="persistent sample-store directory shared across restarts",
+        help="persistent store directory (one oracle label column per "
+        "dataset) shared across restarts",
     )
     serve.add_argument(
         "--port",
@@ -288,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         type=Path,
         default=None,
-        help="batch mode: also diff the plan against this persistent store "
-        "(which draws are already warm, and what the batch would still pay)",
+        help="batch mode: also draw each planned design and count the "
+        "records whose label this store's label column lacks (the labels the "
+        "batch would still pay)",
     )
 
     store = commands.add_parser(
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         type=Path,
         required=True,
-        help="the spill directory to inspect or empty",
+        help="the store directory to inspect or empty",
     )
 
     experiment = commands.add_parser("experiment", help="regenerate a paper artifact")
@@ -317,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         type=Path,
         default=None,
-        help="persistent sample-store directory: oracle samples are spilled "
-        "to disk and reused by later runs (results are identical; a repeat "
-        "run draws zero new oracle labels).  With --jobs 1 the run also "
-        "prints the store's reuse counters.",
+        help="persistent store directory: every oracle label paid for is "
+        "kept in a per-dataset label column and reused by later runs "
+        "(results are identical; a repeat run pays zero new oracle labels).  "
+        "With --jobs 1 the run also prints the store's reuse counters.",
     )
 
     return parser
@@ -328,12 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _store_stats_lines(stats) -> list[str]:
     """Human-readable reuse accounting for one session store."""
-    reused = stats["hits"] + stats["disk_hits"]
     lines = [
         f"store     : {stats['misses']} draws, {stats['hits']} memory hits, "
-        f"{stats['disk_hits']} disk hits, {stats['disk_errors']} rejected spills",
+        f"{stats['quarantined']} quarantined",
         f"labels    : {stats['labels_drawn']} drawn, {stats['labels_saved']} "
-        f"saved vs naive ({reused} reused samples)",
+        "saved vs naive",
     ]
     if stats.get("zonemap_selects", 0) > 0:
         lines.append(
@@ -778,9 +780,8 @@ def _cmd_plan_batch(args, out) -> int:
     plan = engine.plan(statements, seed=args.seed, method=args.method)
     print(plan.render(), file=out)
     if args.store_dir is not None:
-        # Cross-batch reuse report: which of the plan's draws a live
-        # store could already serve (memory or spill file), i.e. what an
-        # incremental re-run of this batch would actually pay for.
+        # Cross-batch reuse report: the labels an incremental re-run of
+        # this batch would actually pay, against the store's columns.
         store = SampleStore(store_dir=args.store_dir)
         print(plan.render_store_diff(store), file=out)
     return 0
@@ -796,43 +797,23 @@ def _cmd_store(args, out) -> int:
             file=out,
         )
         return 0
-    entries = SampleStore.disk_entries(store_dir)
-    now = time.time()
+    entries = statistic_entries(store_dir)
     for entry in entries:
-        key = entry["key"]
-        if key:
-            design = key["design"]
-            extras = (
-                ""
-                if design["exponent"] is None
-                else f", exponent={design['exponent']}, mixing={design['mixing']}"
-            )
-            what = (
-                f"{design['kind']}(budget={design['budget']}{extras}) "
-                f"seed={key['seed']} dataset={key['fingerprint'][:12]}"
-            )
-        else:
-            what = "<unreadable spill>"
-        age = max(0.0, now - entry["mtime"])
-        print(
-            f"{entry['path'].name}  {entry['bytes']:>9d} B  {age:8.0f}s old  {what}",
-            file=out,
-        )
-    usage = SampleStore.disk_usage(store_dir)
-    print(f"total     : {usage['files']} spill files, {usage['total_bytes']} bytes", file=out)
-    for entry in statistic_entries(store_dir):
+        kind, fingerprint = "backend", (entry.get("fingerprint") or "?")[:12]
         if "error" in entry:
-            what = f"<unreadable: {entry['error']}> [{entry['state']}]"
+            what = f"<unreadable: {entry['error']}>"
+        elif "known" in entry:
+            kind = "labels"
+            what = f"{entry['known']} of {entry['records']} labels known, dataset={fingerprint}"
         else:
-            fingerprint = entry.get("fingerprint") or "?"
-            what = (
-                f"{entry.get('dtype', '?')} x{entry.get('records', '?')}, "
-                f"dataset={fingerprint[:12]} [{entry['state']}]"
-            )
+            what = f"{entry.get('dtype', '?')} x{entry.get('records', '?')}, dataset={fingerprint}"
         print(
-            f"backend   : {entry['file']}  {entry['bytes']:>9d} B  {what}",
+            f"{kind:<10}: {entry['file']}  {entry['bytes']:>9d} B  {what} [{entry['state']}]",
             file=out,
         )
+    total = sum(entry["bytes"] for entry in entries)
+    print(f"total     : {len(entries)} statistic files, {total} bytes", file=out)
+    now = time.time()
     quarantined = SampleStore.quarantine_entries(store_dir)
     for entry in quarantined:
         age = max(0.0, now - entry["mtime"])
@@ -845,13 +826,6 @@ def _cmd_store(args, out) -> int:
         print(
             f"quarantine: {len(quarantined)} corrupted file(s) set aside "
             f"(under {QUARANTINE_DIRNAME}/; `repro store clear` removes them)",
-            file=out,
-        )
-    stats = SampleStore.persistent_stats(store_dir)
-    if stats:
-        print(
-            "history   : "
-            + ", ".join(f"{key}={value}" for key, value in sorted(stats.items())),
             file=out,
         )
     return 0
@@ -875,7 +849,7 @@ def _cmd_experiment(args, out) -> int:
         # Sequential runs thread one CLI-owned context through the whole
         # driver so the reuse counters can be reported afterwards;
         # parallel runs hand each worker its own store and still share
-        # labels across processes through the persistent tier.
+        # labels across processes through the label columns.
         if "context" in params and jobs == 1:
             context = ExecutionContext(store=SampleStore(store_dir=args.store_dir))
             kwargs["context"] = context

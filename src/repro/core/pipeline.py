@@ -16,9 +16,11 @@ This module provides the coordination layer that unfuses them:
   runs sharing that key would have drawn bit-identical samples, so
   serving one cached draw to both is exactly equivalent to the
   pre-pipeline behavior while paying the sampling + labeling cost once.
+  It also builds every ground-truth label lookup of its session
+  (:meth:`SampleStore.labeler`).
 - :class:`ExecutionContext` — the per-session handle that selectors,
   the experiment runner, and the query engine thread through their
-  calls.  It owns a store and the ground-truth labeler used to fill it.
+  calls.  It owns a store.
 - :class:`StageRuntime` — the per-``select()`` execution state.  Every
   selection (store-backed or not, built-in oracle or custom) runs the
   same staged code; the runtime decides per draw whether a design is
@@ -36,68 +38,79 @@ algorithm's unbudgeted shared oracle, explicitly passed
 staged code but never enter the store — the runtime simply draws them
 fresh.
 
-Persistent tier
----------------
+Persistent tier: one label column per dataset
+---------------------------------------------
 
 The paper's operational cost model charges per *distinct labeled
-record* (Table 5: $0.08 per human label), so a labeled sample is worth
-real money beyond the process that drew it.  Constructing a
-:class:`SampleStore` with ``store_dir`` adds a disk tier: every fresh
-draw is spilled to ``store_dir`` as an atomic, format-versioned
-``.npz`` file keyed by (dataset fingerprint, design, seed), and a
-memory miss consults the directory before touching the oracle.
-Separate processes — parallel sweep-cell workers, repeated CLI
-invocations, CI runs — thereby share one pool of oracle labels.  Spill
-files that are truncated, corrupt, version-mismatched, or keyed to a
-different dataset are never served: the store falls back to a fresh
-draw and moves the defective file into ``<store_dir>/quarantine/``
-alongside a ``*.reason.json`` report, so operators can see *that* and
-*why* labels were re-paid (``repro store ls`` surfaces both).
+record* (Table 5: $0.08 per human label), so a label is worth real
+money beyond the process that paid for it.  A :class:`SampleStore`
+constructed with ``store_dir`` keeps one oracle label column per
+dataset there: ``stat-<fp16>-labels.npy``, one ``int8`` per record,
+``-1`` until some lookup pays for the record's label.  Every
+ground-truth lookup of the session — store draws, Algorithm 5's
+stage-2 samples, service windows, fork workers — reads the labels the
+column knows and sends only the unknown records to the oracle, then
+writes their labels back.  Samples themselves are not persisted: a
+redraw from the cached inverse CDF is cheap, so a second process on a
+warm directory redraws the same records and pays no labels.
+
+The column is a statistic file in the disk backend's format
+(:mod:`repro.core.stats_backend`): created atomically with a
+``.meta.json`` sidecar, validated on open (fingerprint, record count,
+dtype, and every value in {-1, 0, 1}), quarantined into
+``<store_dir>/quarantine/`` with a reason report when it fails, and
+mapped shared and writable.  It takes no lock: each byte is either
+-1 or the true label, so racing writers — concurrent windows, fork
+workers writing through the inherited mapping, other processes — can
+only write the truth.  A torn write can lose labels, never serve a
+wrong one.
 
 Fault tolerance
 ---------------
 
-Constructing a store (or :class:`StageRuntime`) with a
-:class:`~repro.oracle.retry.RetryPolicy` wraps every oracle label
-lookup in a :class:`~repro.oracle.retry.RetryingOracle`.  The wrapper
-sits *below* budget and cache accounting and the sampling stream is
-consumed before the oracle is called, so a retried draw is bit-identical
-to an unfaulted one and labels are charged exactly once.  All label
-functions also pass through the :func:`repro.faults.wrap_label_fn`
-seam, which is inert unless a fault-injection plan is active.
-
-Constructing the store with ``max_disk_bytes`` caps the spill
-directory: after each spill, the oldest spill files (by modification
-time) are evicted until the directory fits the cap, which keeps
-long-lived label caches operable.  ``repro store ls`` / ``repro store
-clear`` inspect and empty a directory from the CLI, backed by the
-:meth:`SampleStore.disk_entries`, :meth:`SampleStore.disk_usage`, and
-:meth:`SampleStore.clear_disk` helpers; cumulative cross-process
-counters (spills, disk hits, evictions) are kept best-effort in a
-``store-stats.json`` sidecar.
+Constructing a store with a :class:`~repro.oracle.retry.RetryPolicy`
+wraps every oracle label lookup in a
+:class:`~repro.oracle.retry.RetryingOracle`.  The wrapper sits *below*
+budget, cache and column accounting, and the sampling stream is
+consumed before the oracle is called, so a retried draw is
+bit-identical to an unfaulted one and labels are charged exactly once.
+All label functions also pass through the
+:func:`repro.faults.wrap_label_fn` seam, which is inert unless a
+fault-injection plan is active.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-import hashlib
 import json
 import os
-import time
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
+from numpy.lib.format import open_memmap
 
 from ..faults import wrap_label_fn
+from ..metrics import sorted_distinct
 from ..oracle.base import BudgetedOracle
 from ..oracle.retry import RetryPolicy, RetryingOracle
 from ..sampling.designs import LabeledSample, LabelFn, SampleDesign, draw_labeled_sample
 from .forksafe import ForkSafeLock
+from .stats_backend import (
+    LABELS_STAT,
+    QUARANTINE_DIRNAME,
+    STAT_FILE_GLOB,
+    StaleStatistic,
+    finalize_statistic,
+    open_statistic,
+    quarantine_statistic,
+    scratch_path,
+    stat_filename,
+    statistic_files,
+)
 from .types import SelectionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -105,35 +118,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SampleStore",
+    "LabelLookup",
     "ExecutionContext",
     "StageRuntime",
     "materialize_selection",
     "ground_truth_labeler",
     "label_tally",
-    "quarantine_file",
 ]
 
 #: Default LRU capacity: at the paper-scale budget of 10k draws a cached
 #: sample is ~250 KB, so the default bounds the store near 64 MB.
 DEFAULT_MAX_ENTRIES = 256
-
-#: Version stamp of the on-disk spill format.  Readers reject any other
-#: version (falling back to a fresh draw), so the format can evolve
-#: without ever serving stale-layout labels.
-SPILL_FORMAT_VERSION = 1
-
-#: Filename pattern of spill files inside a ``store_dir``.
-SPILL_GLOB = "sample-*.npz"
-
-#: Subdirectory of a ``store_dir`` holding quarantined (defective)
-#: spill and statistic files and their ``*.reason.json`` reports.
-#: Outside the root-level globs, so quarantined files are invisible to
-#: loading, eviction, and usage accounting.
-QUARANTINE_DIRNAME = "quarantine"
-
-#: Sidecar file holding best-effort cumulative counters for a
-#: ``store_dir`` (spills, disk hits, evictions) across processes.
-STATS_FILENAME = "store-stats.json"
 
 #: The :func:`label_tally` open in the current thread, or ``None``.
 _TALLY: "contextvars.ContextVar[dict[str, int] | None]" = contextvars.ContextVar(
@@ -161,29 +156,6 @@ def label_tally() -> Iterator[dict[str, int]]:
         _TALLY.reset(token)
 
 
-def quarantine_file(path: Path, reason: str, **report: object) -> bool:
-    """Move a defective store file into ``quarantine/`` beside it.
-
-    The file keeps its name and gains a ``<name>.reason.json`` report
-    holding its name, ``reason``, the time, and any extra ``report``
-    fields; ``repro store ls`` lists both.  Best-effort: returns
-    ``False`` when the move or the report fails, and the caller applies
-    its own fallback.
-    """
-    quarantine_dir = path.parent / QUARANTINE_DIRNAME
-    try:
-        quarantine_dir.mkdir(exist_ok=True)
-        target = quarantine_dir / path.name
-        os.replace(path, target)
-        payload = {"file": path.name, "reason": reason, "quarantined_at": time.time(), **report}
-        target.with_name(target.name + ".reason.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True)
-        )
-    except OSError:
-        return False
-    return True
-
-
 def ground_truth_labeler(dataset: "Dataset") -> LabelFn:
     """Label function reading a dataset's built-in ground truth.
 
@@ -198,78 +170,114 @@ def ground_truth_labeler(dataset: "Dataset") -> LabelFn:
     return label
 
 
-def _json_safe(value):
-    """JSON fallback for numpy scalars/arrays inside generator state."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)!r}")  # pragma: no cover
+def _read_column(path: Path, dataset: "Dataset", mode: str) -> np.ndarray | None:
+    """A dataset's validated label column, or ``None`` when there is none.
+
+    Raises :class:`~repro.core.stats_backend.StaleStatistic` for a file
+    of another dataset, record count or dtype, a truncated file, or one
+    holding any value outside {-1, 0, 1}.
+    """
+    opened = open_statistic(path, dataset.fingerprint, dataset.size, np.int8, mode=mode)
+    if opened is None:
+        return None
+    column = opened[0].view(np.ndarray)
+    if column.min() < -1 or column.max() > 1:
+        raise StaleStatistic("label column holds a value outside {-1, 0, 1}")
+    return column
+
+
+class LabelLookup:
+    """Ground-truth labels for one draw or one selection.
+
+    Callable like any label function.  ``oracle`` is the chain below it
+    (retry policy, fault seam, :func:`ground_truth_labeler`).  Without a
+    ``column`` the lookup is that chain.  With one, it answers the
+    records the column knows, sends each distinct unknown record down
+    the chain once, and writes the answers back; ``paid`` counts those
+    records.
+    """
+
+    def __init__(
+        self,
+        oracle: LabelFn,
+        column: np.ndarray | None,
+        retrier: RetryingOracle | None = None,
+    ) -> None:
+        self.oracle = oracle
+        self.column = column
+        self.retrier = retrier
+        self.paid = 0
+
+    def __call__(self, indices: np.ndarray) -> np.ndarray:
+        column = self.column
+        if column is None:
+            return self.oracle(indices)
+        indices = np.asarray(indices, dtype=np.intp)
+        labels = column[indices]
+        unknown = labels < 0
+        if unknown.any():
+            asked = indices[unknown]
+            missing = sorted_distinct(asked)
+            answers = np.asarray(self.oracle(missing), dtype=np.int8)
+            column[missing] = answers
+            labels[unknown] = answers[np.searchsorted(missing, asked)]
+            self.paid += int(missing.size)
+        return labels
 
 
 class SampleStore:
-    """Keyed LRU cache of labeled oracle samples, optionally disk-backed.
+    """Keyed LRU cache of labeled oracle samples, over an optional label column.
 
     Key: ``(dataset.fingerprint, SampleDesign, seed)``.  A hit returns
     the stored :class:`LabeledSample` without touching the oracle or
     the random generator; a miss draws with a fresh
     ``np.random.default_rng(seed)`` — the exact generator construction
-    the legacy path uses — labels from ground truth, and caches.
+    the legacy path uses — labels it through :meth:`labeler`, and
+    caches it.
 
-    With ``store_dir`` set, a memory miss first consults the persistent
-    tier: a valid spill file for the key is loaded (no oracle labels
-    drawn) and promoted into the LRU, and every fresh draw is spilled
-    back so later processes can reuse it.  Spill writes are atomic
-    (temp file + ``os.replace``), so concurrent workers sharing one
-    directory are safe; spill reads validate the format version and the
-    full key before trusting a file.
+    With ``store_dir`` set, :meth:`labeler` reads and fills each
+    dataset's persistent label column (see the module docstring), so a
+    miss pays only for the records no earlier lookup — in this process
+    or another — has labeled.
 
     Counters expose the oracle-usage accounting the reuse tests pin:
 
     - ``hits`` / ``misses`` — memory-tier lookups; a gamma sweep over a
       sample-reusable selector must record exactly one miss per
       (dataset, seed, budget).
-    - ``disk_hits`` / ``disk_errors`` — persistent-tier loads and
-      rejected (corrupt/mismatched) spill files.
-    - ``labels_drawn`` — distinct oracle labels actually paid for.
-    - ``labels_saved`` — labels a store-oblivious run would have drawn
-      again (the cost-model savings vs the naive per-call draw).
+    - ``quarantined`` — label columns set aside as defective.
+    - ``labels_drawn`` — distinct oracle labels the store's designed
+      draws actually paid for.
+    - ``labels_saved`` — labels a store-oblivious run would have paid
+      for again: every label of a memory hit, and on a miss the records
+      whose label the column already held.
     """
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         store_dir: str | os.PathLike | None = None,
-        max_disk_bytes: int | None = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         if max_entries <= 0:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
-        if max_disk_bytes is not None and max_disk_bytes <= 0:
-            raise ValueError(f"max_disk_bytes must be positive or None, got {max_disk_bytes}")
-        if max_disk_bytes is not None and store_dir is None:
-            raise ValueError("max_disk_bytes requires a store_dir")
         self.max_entries = max_entries
-        self.max_disk_bytes = max_disk_bytes
         self.retry_policy = retry_policy
         self.store_dir = Path(store_dir).expanduser() if store_dir is not None else None
         if self.store_dir is not None:
             self.store_dir.mkdir(parents=True, exist_ok=True)
         self._entries: OrderedDict[tuple, LabeledSample] = OrderedDict()
+        #: fingerprint -> the dataset's open label column, or ``None``
+        #: when the directory could not hold one.
+        self._columns: dict[str, np.ndarray | None] = {}
         # Concurrent plan windows share one store; the LRU dict, its
-        # counters, and the draw-or-load decision mutate together, so
-        # the public entry points serialize on one reentrant lock.
-        # Fork-safe: window threads may hold it while another window
-        # forks a worker pool (see repro.core.forksafe).
+        # counters, and the draw decision mutate together, so the public
+        # entry points serialize on one reentrant lock.  Fork-safe:
+        # window threads may hold it while another window forks a
+        # worker pool (see repro.core.forksafe).
         self._lock = ForkSafeLock()
-        self._cap_warning_emitted = False
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-        self.disk_errors = 0
-        self.disk_evictions = 0
         self.quarantined = 0
         self.oracle_retries = 0
         self.labels_drawn = 0
@@ -301,21 +309,11 @@ class SampleStore:
                 self.hits += 1
                 self._charge(saved=entry.oracle_calls)
                 return entry
-            if self.store_dir is not None:
-                spilled = self._load_spill(dataset.fingerprint, design, int(seed))
-                if spilled is not None:
-                    self.disk_hits += 1
-                    self._charge(saved=spilled.oracle_calls)
-                    self._insert(key, spilled)
-                    self._bump_persistent_stats(disk_hits=1)
-                    return spilled
             rng = np.random.default_rng(int(seed))
-            sample = self._draw_fresh(design, dataset, rng)
+            sample, paid = self._draw_fresh(design, dataset, rng)
             self.misses += 1
-            self._charge(drawn=sample.oracle_calls)
+            self._charge(drawn=paid, saved=sample.oracle_calls - paid)
             self._insert(key, sample)
-            if self.store_dir is not None:
-                self._write_spill(dataset.fingerprint, design, int(seed), sample)
             return sample
 
     def _charge(self, drawn: int = 0, saved: int = 0) -> None:
@@ -329,26 +327,102 @@ class SampleStore:
             tally["labels_saved"] += saved
 
     def locate(self, fingerprint: str, design: SampleDesign, seed: int) -> str | None:
-        """Which tier could serve a key right now, without drawing.
+        """``"memory"`` when the store holds the key's sample, else ``None``.
 
-        Returns ``"memory"``, ``"disk"`` (a spill file exists for the
-        key — contents are validated only when actually loaded), or
-        ``None``.  This is what lets a batch plan be diffed against a
-        live store (:meth:`repro.core.planning.QueryPlan.warm_keys`)
-        before any oracle label is paid for.
+        This is what lets a batch plan be diffed against a live store
+        (:meth:`repro.core.planning.QueryPlan.warm_keys`) before any
+        oracle label is paid for.  What a draw of a cold key would pay
+        is :meth:`unknown_records` of its records.
         """
-        key = (fingerprint, design, int(seed))
         with self._lock:
-            if key in self._entries:
-                return "memory"
-        if self.store_dir is not None and self._spill_path(fingerprint, design, int(seed)).exists():
-            return "disk"
-        return None
+            return "memory" if (fingerprint, design, int(seed)) in self._entries else None
+
+    def labeler(self, dataset: "Dataset") -> LabelLookup:
+        """The session's ground-truth label lookup, built per call.
+
+        From the inside out: :func:`ground_truth_labeler` (looked up on
+        this module at call time, so a replaced attribute takes effect),
+        the fault seam (:func:`repro.faults.wrap_label_fn`), the retry
+        policy, and — with a ``store_dir`` — the dataset's label column,
+        which sends only the records it does not know down that chain.
+        Callers put it below any
+        :class:`~repro.oracle.base.BudgetedOracle`, so budget charges
+        do not change.  Custom oracles never come here.
+        """
+        label_fn = wrap_label_fn(ground_truth_labeler(dataset))
+        retrier = None
+        if self.retry_policy is not None:
+            retrier = RetryingOracle(label_fn, self.retry_policy)
+            label_fn = retrier.query
+        return LabelLookup(label_fn, self.label_column(dataset), retrier)
+
+    def label_column(self, dataset: "Dataset") -> np.ndarray | None:
+        """The dataset's label column, or ``None`` without a ``store_dir``.
+
+        Opened once per store, so fork workers inherit one shared,
+        writable mapping: open it in the parent before a fan-out
+        (:meth:`repro.core.planning.QueryPlan.prewarm` does).  A file
+        that fails validation is quarantined once (``quarantined`` += 1)
+        and the column starts again empty.  Also ``None`` when the column
+        cannot be created or mapped writable; lookups then go to the
+        oracle.
+        """
+        if self.store_dir is None:
+            return None
+        with self._lock:
+            if dataset.fingerprint not in self._columns:
+                self._columns[dataset.fingerprint] = self._open_column(dataset)
+            return self._columns[dataset.fingerprint]
+
+    def _open_column(self, dataset: "Dataset") -> np.ndarray | None:
+        path = self.store_dir / stat_filename(dataset.fingerprint, LABELS_STAT)
+        try:
+            column = _read_column(path, dataset, "r+")
+        except StaleStatistic as exc:
+            column = None
+            self.quarantined += 1
+            quarantine_statistic(path, str(exc))
+        except OSError:  # valid, but not writable here
+            return None
+        if column is not None:
+            return column
+        tmp = scratch_path(self.store_dir, LABELS_STAT)
+        try:
+            empty = open_memmap(tmp, mode="w+", dtype=np.int8, shape=(dataset.size,))
+            empty.fill(-1)
+            empty.flush()
+            del empty
+            finalize_statistic(
+                tmp, path, dataset.fingerprint, LABELS_STAT, dataset.size, np.int8
+            )
+            return _read_column(path, dataset, "r+")
+        except (OSError, StaleStatistic):
+            return None
+        finally:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+
+    def unknown_records(self, dataset: "Dataset", indices: np.ndarray) -> np.ndarray:
+        """The distinct ``indices`` whose label the column lacks, sorted.
+
+        What a draw of those records would pay.  Reads the column
+        without creating or repairing it; with no usable column every
+        record is unknown.
+        """
+        records = sorted_distinct(np.asarray(indices, dtype=np.intp))
+        column = self._columns.get(dataset.fingerprint)
+        if column is None and self.store_dir is not None:
+            path = self.store_dir / stat_filename(dataset.fingerprint, LABELS_STAT)
+            with contextlib.suppress(StaleStatistic):
+                column = _read_column(path, dataset, "r")
+        if column is None:
+            return records
+        return records[column[records] < 0]
 
     def _draw_fresh(
         self, design: SampleDesign, dataset: "Dataset", rng: np.random.Generator
-    ) -> LabeledSample:
-        """One oracle draw through the fault seam and the retry policy.
+    ) -> tuple[LabeledSample, int]:
+        """One designed draw through :meth:`labeler`, and the labels it paid.
 
         The retry wrapper sees only the label lookup: the design's draw
         consumed ``rng`` before any oracle call, so retries never touch
@@ -357,16 +431,13 @@ class SampleStore:
         :class:`~repro.oracle.retry.OracleUnavailableError` with no
         counters charged and nothing cached.
         """
-        label_fn = wrap_label_fn(ground_truth_labeler(dataset))
-        retrier = None
-        if self.retry_policy is not None:
-            retrier = RetryingOracle(label_fn, self.retry_policy)
-            label_fn = retrier.query
+        lookup = self.labeler(dataset)
         try:
-            return draw_labeled_sample(design, dataset, rng, label_fn)
+            sample = draw_labeled_sample(design, dataset, rng, lookup)
         finally:
-            if retrier is not None:
-                self.oracle_retries += retrier.retries_used
+            if lookup.retrier is not None:
+                self.oracle_retries += lookup.retrier.retries_used
+        return sample, sample.oracle_calls if lookup.column is None else lookup.paid
 
     def _insert(self, key: tuple, sample: LabeledSample) -> None:
         self._entries[key] = sample
@@ -378,22 +449,22 @@ class SampleStore:
 
         For a table that was replaced: its samples could only ever be
         served to the same content again, so they would sit in the LRU
-        until evicted.  Counters and spill files persist, as in
-        :meth:`clear`.
+        until evicted.  Its label column is closed here and stays on
+        disk; counters persist, as in :meth:`clear`.
         """
         with self._lock:
             stale = [key for key in self._entries if key[0] == fingerprint]
             for key in stale:
                 del self._entries[key]
+            self._columns.pop(fingerprint, None)
         return len(stale)
 
     def clear(self) -> None:
-        """Drop every in-memory sample (counters and spill files persist).
+        """Drop every in-memory sample (counters and label columns persist).
 
-        The disk tier is intentionally untouched: its invalidation rule
-        is content-based (keys embed the dataset fingerprint), so stale
-        entries can never be served and explicit deletion of
-        ``store_dir`` is the only cleanup ever needed.
+        The label columns are intentionally untouched: they are keyed by
+        dataset fingerprint, so no column can serve another content's
+        labels, and ``repro store clear`` is the only cleanup needed.
         """
         with self._lock:
             self._entries.clear()
@@ -405,9 +476,6 @@ class SampleStore:
                 "entries": len(self._entries),
                 "hits": self.hits,
                 "misses": self.misses,
-                "disk_hits": self.disk_hits,
-                "disk_errors": self.disk_errors,
-                "disk_evictions": self.disk_evictions,
                 "quarantined": self.quarantined,
                 "oracle_retries": self.oracle_retries,
                 "labels_drawn": self.labels_drawn,
@@ -415,141 +483,18 @@ class SampleStore:
                 "nbytes": self.nbytes,
             }
 
-    # -- persistent tier -------------------------------------------------------
-
-    @staticmethod
-    def _key_meta(fingerprint: str, design: SampleDesign, seed: int) -> dict:
-        # Coerce every field to a plain JSON scalar: design fields may
-        # arrive as numpy types (budgets off np.arange, exponents off
-        # np.linspace), which json.dumps rejects and which would
-        # otherwise defeat the loaded-key equality check.
-        return {
-            "fingerprint": str(fingerprint),
-            "design": {
-                "kind": str(design.kind),
-                "budget": int(design.budget),
-                "exponent": None if design.exponent is None else float(design.exponent),
-                "mixing": None if design.mixing is None else float(design.mixing),
-                "replace": bool(design.replace),
-            },
-            "seed": int(seed),
-        }
-
-    def _spill_path(self, fingerprint: str, design: SampleDesign, seed: int) -> Path:
-        key_json = json.dumps(self._key_meta(fingerprint, design, seed), sort_keys=True)
-        digest = hashlib.sha256(key_json.encode()).hexdigest()[:40]
-        return self.store_dir / f"sample-{digest}.npz"
-
-    def _write_spill(
-        self, fingerprint: str, design: SampleDesign, seed: int, sample: LabeledSample
-    ) -> None:
-        """Atomically persist one labeled sample; failures are non-fatal
-        (the disk tier is an optimization, never a correctness
-        dependency)."""
-        path = self._spill_path(fingerprint, design, seed)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                np.savez(
-                    handle,
-                    format_version=np.int64(SPILL_FORMAT_VERSION),
-                    key=np.array(
-                        json.dumps(self._key_meta(fingerprint, design, seed), sort_keys=True)
-                    ),
-                    rng_state=np.array(json.dumps(dict(sample.rng_state), default=_json_safe)),
-                    indices=np.asarray(sample.indices),
-                    scores=np.asarray(sample.scores),
-                    labels=np.asarray(sample.labels),
-                    mass=np.asarray(sample.mass),
-                )
-            os.replace(tmp, path)
-        except OSError:
-            self.disk_errors += 1
-            tmp.unlink(missing_ok=True)
-            return
-        self._bump_persistent_stats(spills=1, labels_spilled=sample.oracle_calls)
-        self._evict_spills(keep=path)
-
-    def _load_spill(
-        self, fingerprint: str, design: SampleDesign, seed: int
-    ) -> LabeledSample | None:
-        """Load a spilled sample, or ``None`` when absent or unusable.
-
-        Any defect — unreadable archive, missing fields, format-version
-        or key mismatch, misaligned arrays — downgrades to a fresh draw
-        and quarantines the file (it can never be served, so leaving it
-        in place would re-reject it on every lookup and hide the defect
-        from operators).
-        """
-        path = self._spill_path(fingerprint, design, seed)
-        if not path.exists():
-            return None
-        try:
-            with np.load(path, allow_pickle=False) as payload:
-                if int(payload["format_version"]) != SPILL_FORMAT_VERSION:
-                    raise ValueError("spill format version mismatch")
-                key_meta = json.loads(str(payload["key"][()]))
-                if key_meta != self._key_meta(fingerprint, design, seed):
-                    # A file whose embedded key disagrees with its path
-                    # (copied/renamed spill, hash collision) must never
-                    # serve its labels to this key.
-                    raise ValueError("spill key mismatch")
-                indices = np.asarray(payload["indices"])
-                scores = np.asarray(payload["scores"])
-                labels = np.asarray(payload["labels"])
-                mass = np.asarray(payload["mass"])
-                if not (indices.shape == scores.shape == labels.shape == mass.shape):
-                    raise ValueError("misaligned spill arrays")
-                if indices.size != design.budget:
-                    raise ValueError("spill size disagrees with design budget")
-                rng_state = json.loads(str(payload["rng_state"][()]))
-        except Exception as exc:
-            self.disk_errors += 1
-            self._quarantine(path, fingerprint, design, seed, exc)
-            return None
-        return LabeledSample(
-            design=design,
-            indices=indices,
-            scores=scores,
-            labels=labels,
-            mass=mass,
-            rng_state=rng_state,
-        )
-
-    def _quarantine(
-        self,
-        path: Path,
-        fingerprint: str,
-        design: SampleDesign,
-        seed: int,
-        defect: Exception,
-    ) -> None:
-        """Move a defective spill to ``quarantine/`` with a reason report.
-
-        Best-effort: if the move itself fails (permissions, the file
-        vanished under a concurrent worker) the fresh-draw fallback has
-        already happened and nothing else is at stake.
-        """
-        reason = str(defect) or type(defect).__name__
-        expected_key = self._key_meta(fingerprint, design, seed)
-        if quarantine_file(path, reason, expected_key=expected_key):
-            self.quarantined += 1
-            self._bump_persistent_stats(quarantined=1)
+    # -- store-directory management -------------------------------------------
 
     @staticmethod
     def quarantine_entries(store_dir: str | os.PathLike) -> list[dict]:
-        """Quarantined spill files in a directory, oldest first.
+        """Quarantined statistic files in a directory, oldest first.
 
         Each entry maps ``path`` / ``bytes`` / ``mtime`` / ``reason``
         (``None`` when the reason report is missing or unreadable).
         """
-        from .stats_backend import STAT_FILE_GLOB
-
         directory = Path(store_dir).expanduser() / QUARANTINE_DIRNAME
         entries: list[dict] = []
-        # Spill quarantine and statistic-file quarantine share the
-        # directory and the reason-report convention.
-        for path in (*directory.glob(SPILL_GLOB), *directory.glob(STAT_FILE_GLOB)):
+        for path in directory.glob(STAT_FILE_GLOB):
             try:
                 stat = path.stat()
             except OSError:
@@ -568,151 +513,15 @@ class SampleStore:
         entries.sort(key=lambda entry: (entry["mtime"], entry["path"].name))
         return entries
 
-    # -- disk-tier management --------------------------------------------------
-
-    def _evict_spills(self, keep: Path | None = None) -> None:
-        """Oldest-spill eviction: shrink the directory under the cap.
-
-        The spill just written (``keep``) is never evicted: when
-        ``max_disk_bytes`` is smaller than a single spill, the naive
-        policy would delete every spill the moment it lands — each
-        draw pays the write, the next process re-draws, and the tier
-        never serves a hit.  Keeping the newest spill means the cap can
-        be transiently exceeded by at most one file, which is warned
-        about once (the cap is clearly misconfigured for the workload).
-
-        Best-effort under concurrency — a file deleted by another
-        worker mid-scan is simply skipped, and the cap is re-checked
-        on every spill, so transient overshoot self-corrects.
-        """
-        if self.max_disk_bytes is None or self.store_dir is None:
-            return
-        entries = self.disk_entries(self.store_dir, include_keys=False)
-        total = sum(entry["bytes"] for entry in entries)
-        evicted = 0
-        for entry in entries:  # disk_entries sorts oldest-first
-            if total <= self.max_disk_bytes:
-                break
-            if keep is not None and entry["path"] == keep:
-                continue
-            try:
-                entry["path"].unlink()
-            except OSError:
-                continue
-            total -= entry["bytes"]
-            evicted += 1
-        if evicted:
-            self.disk_evictions += evicted
-            self._bump_persistent_stats(evictions=evicted)
-        if total > self.max_disk_bytes and not self._cap_warning_emitted:
-            self._cap_warning_emitted = True
-            warnings.warn(
-                f"max_disk_bytes={self.max_disk_bytes} is smaller than a single "
-                f"spill ({total} bytes on disk after eviction); the newest spill "
-                "is kept so the disk tier stays useful — raise the cap to honor it",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-
-    def _bump_persistent_stats(self, **deltas: int) -> None:
-        """Best-effort cumulative counters in ``store-stats.json``.
-
-        Atomic replace keeps the file parseable under concurrent
-        writers; simultaneous increments may be lost (last writer
-        wins), which is acceptable for an advisory inspection aid.
-        """
-        if self.store_dir is None:
-            return
-        path = self.store_dir / STATS_FILENAME
-        try:
-            stats = json.loads(path.read_text()) if path.exists() else {}
-            if not isinstance(stats, dict):
-                stats = {}
-            for key, delta in deltas.items():
-                stats[key] = int(stats.get(key, 0)) + int(delta)
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(stats, sort_keys=True))
-            os.replace(tmp, path)
-        except (OSError, ValueError):
-            pass
-
-    @staticmethod
-    def persistent_stats(store_dir: str | os.PathLike) -> Mapping[str, int]:
-        """Cumulative cross-process counters recorded for a directory."""
-        path = Path(store_dir).expanduser() / STATS_FILENAME
-        try:
-            stats = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return {}
-        return stats if isinstance(stats, dict) else {}
-
-    @staticmethod
-    def disk_entries(
-        store_dir: str | os.PathLike, include_keys: bool = True
-    ) -> list[dict]:
-        """Spill files in a directory, oldest first.
-
-        Each entry maps ``path`` / ``bytes`` / ``mtime`` plus, when
-        ``include_keys`` is set and the file is readable, its embedded
-        ``key`` metadata (dataset fingerprint, design fields, seed).
-        Unreadable files still appear (with ``key=None``) so
-        ``repro store ls`` accounts for every byte on disk.
-
-        ``include_keys=False`` stats files without opening them — what
-        eviction, usage totals, and ``clear_disk`` use, so those stay
-        O(files) stat calls instead of O(files) archive reads.
-        """
-        directory = Path(store_dir).expanduser()
-        entries: list[dict] = []
-        for path in directory.glob(SPILL_GLOB):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            key = None
-            if include_keys:
-                try:
-                    with np.load(path, allow_pickle=False) as payload:
-                        key = json.loads(str(payload["key"][()]))
-                except Exception:
-                    pass
-            entries.append(
-                {"path": path, "bytes": stat.st_size, "mtime": stat.st_mtime, "key": key}
-            )
-        entries.sort(key=lambda entry: (entry["mtime"], entry["path"].name))
-        return entries
-
-    @classmethod
-    def disk_usage(cls, store_dir: str | os.PathLike) -> Mapping[str, int]:
-        """Total spill-file count and bytes for a directory."""
-        entries = cls.disk_entries(store_dir, include_keys=False)
-        return {
-            "files": len(entries),
-            "total_bytes": sum(entry["bytes"] for entry in entries),
-        }
-
     @classmethod
     def clear_disk(cls, store_dir: str | os.PathLike) -> Mapping[str, int]:
-        """Delete every spill file (and the stats sidecar) in a directory.
+        """Delete every statistic file, label column and quarantined file.
 
-        Backend statistic files (``stat-*.npy`` plus their
-        ``.meta.json`` sidecars, written by the disk statistics backend)
-        are cleared too: they are derivable statistics, not labeled
-        data, so "clear the store" should leave nothing behind.  Only
-        files this repo wrote are touched — foreign files in the
+        Only files this repo wrote are touched — foreign files in the
         directory are left alone.  Returns the removed count and bytes.
         """
-        from .stats_backend import statistic_files
-
         removed = 0
         freed = 0
-        for entry in cls.disk_entries(store_dir, include_keys=False):
-            try:
-                entry["path"].unlink()
-            except OSError:
-                continue
-            removed += 1
-            freed += entry["bytes"]
         for path in statistic_files(store_dir):
             try:
                 size = path.stat().st_size
@@ -732,11 +541,6 @@ class SampleStore:
             freed += entry["bytes"]
         try:
             (Path(store_dir).expanduser() / QUARANTINE_DIRNAME).rmdir()
-        except OSError:
-            pass
-        stats_path = Path(store_dir).expanduser() / STATS_FILENAME
-        try:
-            stats_path.unlink()
         except OSError:
             pass
         return {"files_removed": removed, "bytes_freed": freed}
@@ -766,15 +570,6 @@ class ExecutionContext:
     def fetch(self, dataset: "Dataset", design: SampleDesign, seed: int) -> LabeledSample:
         """Stage ``draw_sample`` with store-backed reuse."""
         return self.store.fetch(dataset, design, seed)
-
-    def labeler(self, dataset: "Dataset") -> LabelFn:
-        """Ground-truth label access for non-cacheable stages (e.g. the
-        gamma-dependent stage 2 of Algorithm 5), fault-seamed and
-        retried like every other oracle path."""
-        label_fn = wrap_label_fn(ground_truth_labeler(dataset))
-        if self.retry_policy is not None:
-            label_fn = RetryingOracle(label_fn, self.retry_policy).query
-        return label_fn
 
     def select(self, selector, dataset: "Dataset", seed: int = 0) -> SelectionResult:
         """Run one staged selection inside this session."""
@@ -811,8 +606,11 @@ class StageRuntime:
       leak.  (Store-served draws skip the check, as always: a cached
       sample's budget was enforced when it was first drawn.)
 
-    Both modes produce bit-identical selections; only the caching
-    differs.
+    With a context and no custom oracle, that ground truth comes
+    through the store's :meth:`SampleStore.labeler` (label column,
+    retry policy, fault seam); without a context, through the fault
+    seam alone.  Both modes produce bit-identical selections; only the
+    caching differs.
     """
 
     def __init__(
@@ -822,7 +620,6 @@ class StageRuntime:
         oracle=None,
         context: ExecutionContext | None = None,
         budget: int | None = None,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self.dataset = dataset
         self.seed = seed
@@ -832,26 +629,19 @@ class StageRuntime:
             and isinstance(seed, (int, np.integer))
         )
         self._context = context if cacheable else None
-        if retry_policy is None and context is not None:
-            retry_policy = context.retry_policy
         if oracle is None:
-            # Build the default budget-enforcing oracle over ground
-            # truth, with the fault seam and the retry policy *below*
-            # the budget layer: a retried lookup reveals its labels (and
+            # The budget layer sits above the lookup's retry policy and
+            # fault seam: a retried lookup reveals its labels (and
             # charges the budget) exactly once, on the attempt that
             # succeeds.
-            lookup = wrap_label_fn(ground_truth_labeler(dataset))
-            if retry_policy is not None:
-                lookup = RetryingOracle(lookup, retry_policy).query
+            if context is not None:
+                lookup = context.store.labeler(dataset)
+            else:
+                lookup = wrap_label_fn(ground_truth_labeler(dataset))
             oracle = BudgetedOracle(lookup, budget=budget)
         self._label_fn: LabelFn = oracle.query
         self._rng: np.random.Generator | None = None
         self._resume_state: Mapping[str, object] | None = None
-
-    @property
-    def store_backed(self) -> bool:
-        """Whether designed draws are served from a shared sample store."""
-        return self._context is not None
 
     @property
     def rng(self) -> np.random.Generator:
@@ -881,7 +671,8 @@ class StageRuntime:
     def label(self, indices: np.ndarray) -> np.ndarray:
         """Oracle labels for draws no :class:`SampleDesign` describes
         (e.g. Algorithm 5's gamma-dependent region sample) — such
-        labels never enter a store."""
+        samples never enter a store, though their labels enter its
+        label column."""
         return np.asarray(self._label_fn(indices))
 
 

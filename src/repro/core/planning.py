@@ -29,10 +29,10 @@ the sample store's legal-reuse key.  The plan reports how many
 distinct draws the batch needs (vs how many a naive per-execution loop
 would pay for), can :meth:`~QueryPlan.prewarm` a
 :class:`~repro.core.pipeline.SampleStore` by drawing each distinct
-design exactly once (spilling to the disk tier when the store has one
-— do this *before* forking workers, so they warm up from disk instead
-of racing to re-draw the same key), and yields independent
-:meth:`~QueryPlan.batches` to fan across workers.
+design exactly once (do this *before* forking workers, so they inherit
+the warm store and the open label columns instead of racing to re-draw
+the same key), and yields independent :meth:`~QueryPlan.batches` to
+fan across workers.
 :meth:`repro.query.engine.SupgEngine.execute_many` and the experiment
 runner's parallel warm-up are both built on it.
 
@@ -57,6 +57,7 @@ import numpy as np
 
 from ..faults import maybe_kill_worker
 from ..sampling import DEFAULT_EXPONENT, DEFAULT_MIXING, proxy_sampling_weights
+from ..metrics import sorted_distinct
 from ..sampling.designs import SampleDesign
 from .types import ApproxQuery, TargetType
 from .uniform import DEFAULT_CANDIDATE_STEP, minimum_positive_draws
@@ -510,40 +511,54 @@ class QueryPlan:
         return folded
 
     def warm_keys(self, store: "SampleStore") -> Mapping[tuple, str | None]:
-        """Diff this plan against a live store: key → tier or ``None``.
+        """Diff this plan against a live store: key → ``"memory"`` or ``None``.
 
-        For each grouped key, reports where the store could serve it
-        *right now* — ``"memory"``, ``"disk"`` (a valid-looking spill
-        file exists), or ``None`` (the draw would hit the oracle).
-        This is the cross-batch cost estimate: keys already warm cost
-        nothing, so ``predicted_labels_drawn`` only materializes for
-        the cold ones.
+        A key the store holds in memory is served without a draw; any
+        other key is drawn again, and pays only for the records its
+        label column lacks (:meth:`render_store_diff` counts them).
         """
         return OrderedDict(
             (key, store.locate(*key)) for key in self._groups
         )
 
     def render_store_diff(self, store: "SampleStore") -> str:
-        """Human-readable warm/cold report against a live store."""
+        """Human-readable warm/cold report against a live store.
+
+        Each key the store does not hold in memory is drawn here — a
+        draw pays no labels — and reports how many of its records the
+        store's label column lacks.  The header sums those records over
+        the batch, once per record: the labels the batch's designed
+        draws would still pay.
+        """
         tiers = self.warm_keys(store)
         warm = sum(1 for tier in tiers.values() if tier is not None)
-        cold_labels = sum(
-            key[1].budget for key, tier in tiers.items() if tier is None
-        )
-        lines = [
-            f"store diff : {warm}/{len(tiers)} draws already warm; "
-            f"<= {cold_labels} labels still to draw"
-        ]
+        unknown: dict[str, list[np.ndarray]] = {}
+        lines = []
         for number, (key, tier) in enumerate(tiers.items(), start=1):
             fingerprint, design, seed = key
             dataset = self._datasets.get(fingerprint)
-            dataset_label = dataset.name if dataset is not None else fingerprint[:12]
             state = f"warm ({tier})" if tier is not None else "cold"
+            if tier is None and dataset is not None:
+                indices, _ = design.draw(dataset, np.random.default_rng(seed))
+                records = store.unknown_records(dataset, indices)
+                unknown.setdefault(fingerprint, []).append(records)
+                state = (
+                    f"cold ({records.size} of {sorted_distinct(indices).size} "
+                    "labels unknown)"
+                )
+            dataset_label = dataset.name if dataset is not None else fingerprint[:12]
             lines.append(
                 f"draw {number:<2d}    : {self._design_label(design)} seed={seed} "
                 f"dataset={dataset_label} -> {state}"
             )
-        return "\n".join(lines)
+        to_pay = sum(
+            sorted_distinct(np.concatenate(parts)).size for parts in unknown.values()
+        )
+        header = (
+            f"store diff : {warm}/{len(tiers)} draws already warm; "
+            f"{to_pay} labels still to pay"
+        )
+        return "\n".join([header, *lines])
 
     # -- execution support -----------------------------------------------------
 
@@ -552,11 +567,11 @@ class QueryPlan:
     ) -> "Mapping[tuple, Exception]":
         """Draw every distinct (dataset, design, seed) exactly once.
 
-        Fills ``store`` — and, when it has a disk tier, the spill
-        directory — before any execution runs.  Call this *before*
-        forking workers: they then serve every shared design from the
-        inherited memory tier or the spilled files instead of racing
-        to re-draw the same key.
+        Fills ``store`` before any execution runs, and opens the label
+        column of every planned dataset when the store has a directory.
+        Call this *before* forking workers: they then serve every shared
+        design from the inherited memory tier, and share one writable
+        mapping of each column instead of racing to create it.
 
         Args:
             isolate_failures: when set, a failed draw (e.g. a
@@ -570,6 +585,8 @@ class QueryPlan:
             when everything warmed (always empty without
             ``isolate_failures``, since the first failure raises).
         """
+        for dataset in self._datasets.values():
+            store.label_column(dataset)
         failures: "OrderedDict[tuple, Exception]" = OrderedDict()
         for key in self._groups:
             fingerprint, design, seed = key

@@ -45,9 +45,12 @@ external merge is) — value-identical, and invisible to ``searchsorted``
 and every selection path, which go through the stable ``score_order``.
 
 Corrupt or stale backend files (fingerprint/shape/dtype mismatch,
-truncation, garbage) are quarantined with a forensic reason sidecar —
-the same convention as the sample store's spill quarantine — and the
-statistic is rebuilt from the source scores on the next access.
+truncation, garbage) are quarantined with a forensic reason sidecar and
+the statistic is rebuilt from the source scores on the next access.
+The sample store keeps each dataset's oracle label column as one more
+statistic file (:data:`LABELS_STAT`), written, validated and
+quarantined by the same module-level helpers (:func:`open_statistic`,
+:func:`finalize_statistic`, :func:`quarantine_statistic`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
@@ -75,7 +79,6 @@ from ..sampling.weighted import (
     validate_design,
     validate_scores,
 )
-from .pipeline import quarantine_file
 from .zonemap import ZONE_MAP_COUNTERS, ScoreZoneMap, stratum_offsets
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -83,6 +86,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "DEFAULT_CHUNK_RECORDS",
+    "LABELS_STAT",
+    "QUARANTINE_DIRNAME",
     "STAT_FILE_GLOB",
     "STAT_META_GLOB",
     "StatisticsBackend",
@@ -92,7 +97,12 @@ __all__ = [
     "chunked_argsort",
     "chunked_pairwise_sum",
     "external_stable_argsort",
+    "finalize_statistic",
+    "open_statistic",
+    "quarantine_statistic",
     "stable_argsort",
+    "stat_filename",
+    "StaleStatistic",
     "statistic_entries",
     "ZONE_MAP_STAT",
 ]
@@ -116,6 +126,15 @@ _STAT_FORMAT_VERSION = 1
 
 #: Statistic name of the persisted zone map.
 ZONE_MAP_STAT = "zone-map"
+
+#: Statistic name of a dataset's oracle label column: ``int8``, one
+#: byte per record, ``-1`` for a label no one has paid for yet.
+LABELS_STAT = "labels"
+
+#: Subdirectory of a store directory holding quarantined statistic
+#: files and their ``*.reason.json`` reports.  Outside the root-level
+#: globs, so nothing opens or lists a quarantined file as a live one.
+QUARANTINE_DIRNAME = "quarantine"
 
 #: numpy's pairwise summation stops recursing at blocks of 128 elements
 #: (``PW_BLOCKSIZE`` in the ufunc reduce loops); the chunked emulation
@@ -390,6 +409,122 @@ def chunked_pairwise_sum(
 
 
 # ----------------------------------------------------------------------
+# Statistic files: naming, atomic finalize, validated open, quarantine.
+# ----------------------------------------------------------------------
+
+
+class StaleStatistic(ValueError):
+    """A statistic file that must not be served; the message says why."""
+
+
+def stat_filename(fingerprint: str, name: str) -> str:
+    return f"stat-{fingerprint[:16]}-{name}.npy"
+
+
+def _meta_path(path: Path) -> Path:
+    return path.with_name(path.name + _META_SUFFIX)
+
+
+def _read_meta(path: Path) -> dict | None:
+    try:
+        meta = json.loads(_meta_path(path).read_text())
+    except (OSError, ValueError):
+        return None
+    return meta if isinstance(meta, dict) else None
+
+
+def scratch_path(directory: Path, tag: str) -> Path:
+    """A dot-prefixed build file, private to this process and thread."""
+    return directory / f".build-{os.getpid():x}-{threading.get_ident():x}-{tag}.npy"
+
+
+def finalize_statistic(
+    tmp: Path, final: Path, fingerprint: str, name: str, records: int, dtype,
+    extra: dict | None = None,
+) -> None:
+    """Publish a built statistic file atomically, sidecar first.
+
+    Metadata lands before the array file: a reader that races the
+    rename either misses the ``.npy`` entirely (rebuild path) or sees
+    the complete, validated pair.  The reverse order would let a reader
+    quarantine a perfectly good freshly-built file.
+    """
+    payload = {
+        "format_version": _STAT_FORMAT_VERSION,
+        "fingerprint": fingerprint,
+        "stat": name,
+        "records": int(records),
+        "dtype": np.dtype(dtype).str,
+        "created_at": time.time(),
+        **(extra or {}),
+    }
+    _meta_path(final).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    os.replace(tmp, final)
+
+
+def open_statistic(
+    path: Path, fingerprint: str, records: int, dtype, totals: tuple[str, ...] = (),
+    mode: str = "r",
+) -> tuple[np.ndarray, dict] | None:
+    """A validated memmap of a statistic file and its metadata, or
+    ``None`` when there is no file.
+
+    Raises :class:`StaleStatistic` on any inconsistency — unreadable
+    header, truncated data, missing or mismatched metadata, a key of
+    ``totals`` that is not a finite non-negative float — so the caller
+    quarantines the file and rebuilds.  ``mode="r+"`` maps the file
+    shared and writable, once it has been validated read-only: numpy
+    would extend a truncated file with zeros when mapping it ``"r+"``.
+    """
+    if not path.exists():
+        return None
+    meta = _read_meta(path)
+    try:
+        view = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise StaleStatistic(f"unreadable statistic file: {exc}") from None
+    if (
+        meta is None
+        or meta.get("format_version") != _STAT_FORMAT_VERSION
+        or meta.get("fingerprint") != fingerprint
+        or int(meta.get("records", -1)) != int(records)
+        or view.ndim != 1
+        or view.shape[0] != int(records)
+        or view.dtype != np.dtype(dtype)
+        or not all(_is_total(meta.get(key)) for key in totals)
+    ):
+        del view
+        raise StaleStatistic("stale or mismatched statistic file")
+    if mode != "r":
+        view = np.load(path, mmap_mode=mode, allow_pickle=False)
+    return view, meta
+
+
+def quarantine_statistic(path: Path, reason: str) -> None:
+    """Set a bad statistic file aside for good.
+
+    The file moves into ``quarantine/`` beside it, keeping its name,
+    next to a ``<name>.reason.json`` report (its name, ``reason`` and
+    the time) that ``repro store ls`` lists; a file that cannot be moved
+    is deleted.  Its metadata sidecar is removed, so the next access
+    rebuilds it.
+    """
+    target = path.parent / QUARANTINE_DIRNAME / path.name
+    try:
+        target.parent.mkdir(exist_ok=True)
+        os.replace(path, target)
+        report = {"file": path.name, "reason": reason, "quarantined_at": time.time()}
+        target.with_name(target.name + ".reason.json").write_text(
+            json.dumps(report, indent=2, sort_keys=True)
+        )
+    except OSError:
+        with contextlib.suppress(OSError):
+            path.unlink()
+    with contextlib.suppress(OSError):
+        _meta_path(path).unlink()
+
+
+# ----------------------------------------------------------------------
 # Backends.
 # ----------------------------------------------------------------------
 
@@ -506,12 +641,10 @@ class DiskBackend(StatisticsBackend):
 
     # -- file naming ---------------------------------------------------
 
-    @staticmethod
-    def stat_filename(fingerprint: str, name: str) -> str:
-        return f"stat-{fingerprint[:16]}-{name}.npy"
+    stat_filename = staticmethod(stat_filename)
 
     def stat_path(self, fingerprint: str, name: str) -> Path:
-        return self.directory / self.stat_filename(fingerprint, name)
+        return self.directory / stat_filename(fingerprint, name)
 
     # -- provider interface --------------------------------------------
 
@@ -551,17 +684,10 @@ class DiskBackend(StatisticsBackend):
         zone_map.counters = self.counters
         summaries = np.concatenate([zone_map.lows, zone_map.highs, zone_map.score_mass])
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self._scratch_path(ZONE_MAP_STAT)
+        tmp = scratch_path(self.directory, ZONE_MAP_STAT)
         try:
             np.save(tmp, summaries)
-            self._finalize(
-                tmp,
-                self.stat_path(fingerprint, ZONE_MAP_STAT),
-                fingerprint,
-                ZONE_MAP_STAT,
-                summaries.size,
-                np.float64,
-            )
+            self._finalize(tmp, fingerprint, ZONE_MAP_STAT, summaries.size, np.float64)
         finally:
             with contextlib.suppress(OSError):
                 tmp.unlink()
@@ -569,65 +695,19 @@ class DiskBackend(StatisticsBackend):
 
     # -- open / validate / quarantine ----------------------------------
 
-    def _meta_path(self, path: Path) -> Path:
-        return path.with_name(path.name + _META_SUFFIX)
-
-    def _read_meta(self, path: Path) -> dict | None:
-        meta_path = self._meta_path(path)
-        try:
-            return json.loads(meta_path.read_text())
-        except (OSError, ValueError):
-            return None
-
-    def _write_meta(
-        self, path: Path, fingerprint: str, name: str, records: int, dtype, extra: dict
-    ) -> None:
-        payload = {
-            "format_version": _STAT_FORMAT_VERSION,
-            "fingerprint": fingerprint,
-            "stat": name,
-            "records": int(records),
-            "dtype": np.dtype(dtype).str,
-            "chunk_records": self.chunk_records,
-            "created_at": time.time(),
-            **extra,
-        }
-        self._meta_path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
-
     def _open(
         self, fingerprint: str, name: str, records: int, dtype, totals: tuple[str, ...] = ()
     ) -> tuple[np.ndarray, dict] | None:
         """A validated read-only memmap of the statistic and its metadata,
-        or ``None``.
-
-        Any inconsistency — unreadable header, truncated data, missing
-        or mismatched metadata, a key of ``totals`` that is not a finite
-        non-negative float — quarantines the file so the caller rebuilds
-        from source.
-        """
+        or ``None``; a defective file is quarantined (counted in
+        ``stats_quarantined``) so the caller rebuilds from source."""
         path = self.stat_path(fingerprint, name)
-        if not path.exists():
-            return None
-        meta = self._read_meta(path)
         try:
-            view = np.load(path, mmap_mode="r", allow_pickle=False)
-        except (OSError, ValueError) as exc:
-            self._quarantine(path, f"unreadable statistic file: {exc}")
+            return open_statistic(path, fingerprint, records, dtype, totals)
+        except StaleStatistic as exc:
+            self.counters["stats_quarantined"] += 1
+            quarantine_statistic(path, str(exc))
             return None
-        if (
-            meta is None
-            or meta.get("format_version") != _STAT_FORMAT_VERSION
-            or meta.get("fingerprint") != fingerprint
-            or int(meta.get("records", -1)) != int(records)
-            or view.ndim != 1
-            or view.shape[0] != int(records)
-            or view.dtype != np.dtype(dtype)
-            or not all(_is_total(meta.get(key)) for key in totals)
-        ):
-            del view
-            self._quarantine(path, "stale or mismatched statistic file")
-            return None
-        return view, meta
 
     def _require(
         self, fingerprint: str, name: str, records: int, dtype, totals: tuple[str, ...] = ()
@@ -641,37 +721,16 @@ class DiskBackend(StatisticsBackend):
             )
         return opened
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad statistic file aside with a forensic reason sidecar.
-
-        The sample store's spill quarantine (:func:`~repro.core.pipeline.
-        quarantine_file`): the file lands in ``<directory>/quarantine/``
-        next to a ``.reason.json`` report, or is deleted when it cannot
-        be moved; its metadata sidecar is removed, and the statistic
-        rebuilds from source on the next access.
-        """
-        self.counters["stats_quarantined"] += 1
-        if not quarantine_file(path, reason):
-            with contextlib.suppress(OSError):
-                path.unlink()
-        with contextlib.suppress(OSError):
-            self._meta_path(path).unlink()
-
     # -- construction --------------------------------------------------
 
-    def _scratch_path(self, tag: str) -> Path:
-        return self.directory / f".build-{os.getpid():x}-{tag}.npy"
-
     def _finalize(
-        self, tmp: Path, final: Path, fingerprint: str, name: str, records: int, dtype,
+        self, tmp: Path, fingerprint: str, name: str, records: int, dtype,
         extra: dict | None = None,
     ) -> None:
-        # Metadata lands before the array file: a reader that races the
-        # rename either misses the .npy entirely (rebuild path) or sees
-        # the complete, validated pair.  The reverse order would let a
-        # reader quarantine a perfectly good freshly-built file.
-        self._write_meta(final, fingerprint, name, records, dtype, extra or {})
-        os.replace(tmp, final)
+        finalize_statistic(
+            tmp, self.stat_path(fingerprint, name), fingerprint, name, records, dtype,
+            {"chunk_records": self.chunk_records, **(extra or {})},
+        )
 
     def _sort_statistic(self, dataset: "Dataset", which: str, dtype) -> np.ndarray:
         fingerprint = dataset.fingerprint
@@ -686,10 +745,10 @@ class DiskBackend(StatisticsBackend):
         self.counters["sorts_performed"] += 1
         n = dataset.size
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp_scores = self._scratch_path("sorted-scores")
-        tmp_order = self._scratch_path("score-order")
-        tmp_scores2 = self._scratch_path("scratch-scores")
-        tmp_order2 = self._scratch_path("scratch-order")
+        tmp_scores = scratch_path(self.directory, "sorted-scores")
+        tmp_order = scratch_path(self.directory, "score-order")
+        tmp_scores2 = scratch_path(self.directory, "scratch-scores")
+        tmp_order2 = scratch_path(self.directory, "scratch-order")
         scratch_files = [tmp_scores, tmp_order, tmp_scores2, tmp_order2]
         try:
             primary = (
@@ -706,22 +765,8 @@ class DiskBackend(StatisticsBackend):
             for buf in (*primary, *scratch):
                 buf.flush()
             del primary, scratch
-            self._finalize(
-                tmp_scores,
-                self.stat_path(fingerprint, "sorted-scores"),
-                fingerprint,
-                "sorted-scores",
-                n,
-                np.float64,
-            )
-            self._finalize(
-                tmp_order,
-                self.stat_path(fingerprint, "score-order"),
-                fingerprint,
-                "score-order",
-                n,
-                np.intp,
-            )
+            self._finalize(tmp_scores, fingerprint, "sorted-scores", n, np.float64)
+            self._finalize(tmp_order, fingerprint, "score-order", n, np.intp)
         finally:
             for leftover in scratch_files:
                 try:
@@ -759,7 +804,7 @@ class DiskBackend(StatisticsBackend):
         )
         require_score_mass(score_total, mixing)
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = self._scratch_path(name)
+        tmp = scratch_path(self.directory, name)
         try:
             out = open_memmap(tmp, mode="w+", dtype=np.float64, shape=(n,))
 
@@ -785,7 +830,7 @@ class DiskBackend(StatisticsBackend):
             out.flush()
             del out
             self._finalize(
-                tmp, self.stat_path(fingerprint, name), fingerprint, name, n, np.float64,
+                tmp, fingerprint, name, n, np.float64,
                 {"score_total": score_total, "weight_total": weight_total},
             )
         finally:
@@ -799,13 +844,14 @@ class DiskBackend(StatisticsBackend):
 
 
 def _backend_reads(filename: str) -> bool:
-    """Whether a backend opens a statistic file of this name: a sort
-    statistic, the zone map, or the inverse CDF of a valid design."""
+    """Whether a backend or the sample store opens a statistic file of
+    this name: a sort statistic, the zone map, a label column, or the
+    inverse CDF of a valid design."""
     match = re.fullmatch(r"stat-.{16}-(.+)\.npy", filename)
     if match is None:
         return False
     name = match[1]
-    if name in ("sorted-scores", "score-order", ZONE_MAP_STAT):
+    if name in ("sorted-scores", "score-order", ZONE_MAP_STAT, LABELS_STAT):
         return True
     if not name.startswith("cdf-"):
         return False
@@ -831,7 +877,8 @@ def statistic_entries(directory) -> list[dict[str, object]]:
     missing, of another format version or mismatched — the backend would
     quarantine and rebuild it on access — or a statistic no backend
     reads any more, such as the weight vectors that inverse CDFs
-    replaced).
+    replaced).  A readable label column also reports ``known``, the
+    records whose label it holds.
     """
     base = Path(directory).expanduser()
     entries: list[dict[str, object]] = []
@@ -849,16 +896,13 @@ def statistic_entries(directory) -> list[dict[str, object]]:
             entry["dtype"] = str(view.dtype)
             records = int(view.shape[0]) if view.ndim == 1 else None
             entry["records"] = records
+            if path.name.endswith(f"-{LABELS_STAT}.npy") and records is not None:
+                entry["known"] = int(np.count_nonzero(view >= 0))
             del view
         except (OSError, ValueError) as exc:
             entry["error"] = str(exc)
             state = "stale"
-        meta = None
-        meta_path = path.with_name(path.name + _META_SUFFIX)
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, ValueError):
-            meta = None
+        meta = _read_meta(path)
         if meta is None or meta.get("format_version") != _STAT_FORMAT_VERSION:
             state = "stale"
         if meta is not None:

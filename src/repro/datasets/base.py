@@ -84,7 +84,9 @@ class Dataset:
             )
         if np.any(scores < 0) or np.any(scores > 1):
             raise ValueError("proxy scores must lie in [0, 1]")
-        if not np.all(np.isin(labels, (0, 1))):
+        # Two equality counts accept exactly what ``np.isin(labels, (0, 1))``
+        # accepts, with one boolean temporary at a time.
+        if np.count_nonzero(labels == 0) + np.count_nonzero(labels == 1) != labels.size:
             raise ValueError("labels must be binary (0/1)")
         # Normalize dtypes once; frozen dataclass requires object.__setattr__.
         object.__setattr__(self, "proxy_scores", scores)

@@ -45,14 +45,15 @@ method-outer loop does.  The reuse is bit-exact: every slot sees the
 same sample it would have drawn itself, so the records equal those of
 independent per-slot :func:`run_trials` loops.
 
-Passing ``store_dir`` spills every fresh draw to a persistent
-:class:`~repro.core.pipeline.SampleStore` tier, shared across worker
-processes and across runs — see :mod:`repro.core.pipeline`.  Parallel
-runs with a ``store_dir`` additionally *pre-spill* their distinct
-(dataset, design, seed) draws before forking, via the batch planner
+Passing ``store_dir`` keeps every oracle label paid for in the
+persistent tier of :class:`~repro.core.pipeline.SampleStore`, one
+label column per dataset, shared across worker processes and across
+runs — see :mod:`repro.core.pipeline`.  Parallel runs with a
+``store_dir`` additionally *prewarm* their distinct (dataset, design,
+seed) draws before forking, via the batch planner
 (:mod:`repro.core.planning`): the parent draws each shared design once
-and spills it, so workers warm up from disk instead of racing to
-re-label the same keys.
+and writes its labels to the column, so workers redraw it without
+paying for a label instead of racing to label the same records.
 """
 
 from __future__ import annotations
@@ -123,14 +124,15 @@ def _prewarm_store_dir(
     base_seed: int,
     store_dir: str,
 ) -> None:
-    """Cross-worker warm-up: spill a panel's distinct draws before forking.
+    """Cross-worker warm-up: label a panel's distinct draws before forking.
 
     Builds the panel's :class:`~repro.core.planning.QueryPlan` — one
     planned execution per (slot, trial) — and draws each distinct
     (dataset, design, seed) exactly once into a store backed by
-    ``store_dir``.  Forked workers then serve every shared design from
-    the spill directory instead of N workers racing to draw the same
-    key.  Results are unchanged either way (the store contract);
+    ``store_dir``, which writes their labels to the dataset's label
+    column.  Forked workers then redraw every shared design without
+    paying for a label, instead of N workers racing to label the same
+    records.  Results are unchanged either way (the store contract);
     only the redundant labeling disappears.
     """
     specs = []
@@ -381,8 +383,8 @@ def compare_methods(
             own sample store, so within-chunk reuse is preserved).
         context: optional externally owned context (sequential path
             only), e.g. to inspect reuse counters afterwards.
-        store_dir: spill directory for the persistent sample-store tier
-            (workers and later runs reuse the labels).
+        store_dir: directory of the persistent label columns (workers
+            and later runs reuse the labels).
     """
     slots: list[PanelSlot] = [(factory, label) for label, factory in factories.items()]
     per_method = _run_panel(
@@ -430,7 +432,7 @@ def sweep(
         context: optional externally owned context (sequential path
             only), e.g. to share one store across several sweeps or to
             inspect reuse counters afterwards.
-        store_dir: spill directory for the persistent sample-store tier.
+        store_dir: directory of the persistent label columns.
 
     Returns:
         One :class:`MethodSummary` per gamma, in ``gammas`` order.
@@ -476,12 +478,12 @@ def _cell_slots(cell: Mapping[str, object]) -> list[PanelSlot]:
 
 
 def _prewarm_cells(cell_list: Sequence[Mapping[str, object]]) -> None:
-    """Pre-spill every parallel cell's distinct draws before forking.
+    """Prewarm every parallel cell's distinct draws before forking.
 
     Cells sharing a ``store_dir`` have their plans drawn into one
     store each, so a grid whose cells revisit the same (dataset,
-    design, seed) keys labels each exactly once in the parent —
-    workers then disk-hit instead of racing.
+    design, seed) keys labels each record once in the parent —
+    workers then redraw from the label column instead of racing.
     """
     for cell in cell_list:
         store_dir = cell.get("store_dir")
@@ -524,9 +526,9 @@ def run_sweep_cells(
             *every* cell (sequential path only) — one store serves the
             whole grid, which is how the figure drivers expose their
             per-driver oracle-draw accounting.
-        store_dir: persistent sample-store tier for cells that do not
-            already set one; with parallel cells, the disk tier is what
-            lets workers share labels across process boundaries.
+        store_dir: label-column directory for cells that do not
+            already set one; with parallel cells, the columns are what
+            let workers share labels across process boundaries.
 
     Returns:
         Per-cell results, in ``cells`` order (bit-identical to running

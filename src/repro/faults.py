@@ -3,7 +3,7 @@
 Chaos testing a system whose core guarantee is *bit-exact
 reproducibility* needs faults that are themselves reproducible: the
 same :class:`FaultPlan` seed must fail the same oracle calls, kill the
-same worker, and corrupt the same spill on every run.  This module is
+same worker, and corrupt the same store file on every run.  This module is
 that harness.  It owns three seams the production code calls
 unconditionally (each is a no-op unless a plan is active):
 
@@ -20,9 +20,10 @@ unconditionally (each is a no-op unless a plan is active):
   cleanup — a genuine crash).  A cross-process latch file makes the
   kill fire exactly once, and the installing (parent) process is never
   killed.
-- **Spill corruption** — :func:`corrupt_spill` truncates or garbles a
-  chosen spill file in a store directory, exercising the store's
-  quarantine path.
+- **Store-file corruption** — :func:`corrupt_statistic` truncates or
+  garbles a chosen ``stat-*.npy`` file in a store directory (a backend
+  statistic or a dataset's label column), exercising the quarantine
+  path.
 
 Activate a plan with the :func:`inject` context manager::
 
@@ -59,7 +60,6 @@ __all__ = [
     "active_plan",
     "wrap_label_fn",
     "maybe_kill_worker",
-    "corrupt_spill",
     "corrupt_statistic",
 ]
 
@@ -275,44 +275,16 @@ def maybe_kill_worker(execution_indices: Iterable[int]) -> None:
     os._exit(plan.kill_exit_code)
 
 
-def corrupt_spill(
-    store_dir: str | os.PathLike, which: int = 0, mode: str = "truncate"
-) -> Path:
-    """Damage one spill file in a store directory; returns its path.
-
-    Args:
-        store_dir: the persistent store directory.
-        which: index into the directory's spills, oldest first.
-        mode: ``"truncate"`` keeps the leading third of the file;
-            ``"garbage"`` replaces the contents with non-archive bytes.
-    """
-    from .core.pipeline import SampleStore  # deferred: pipeline imports this module
-
-    entries = SampleStore.disk_entries(store_dir, include_keys=False)
-    if not entries:
-        raise FileNotFoundError(f"no spill files in {store_dir}")
-    if not 0 <= which < len(entries):
-        raise IndexError(f"spill index {which} out of range (have {len(entries)})")
-    path = entries[which]["path"]
-    if mode == "truncate":
-        data = path.read_bytes()
-        path.write_bytes(data[: max(1, len(data) // 3)])
-    elif mode == "garbage":
-        path.write_bytes(b"this is not an npz archive\n")
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
-    return path
-
-
 def corrupt_statistic(
     store_dir: str | os.PathLike, which: int = 0, mode: str = "truncate"
 ) -> Path:
-    """Damage one backend statistic file in a store directory.
+    """Damage one statistic file in a store directory.
 
-    The disk statistics backend detects the damage on its next open
-    (header parse or metadata validation), quarantines the file with a
-    reason report, and rebuilds the statistic from the source scores —
-    the chaos gate asserts that recovery is byte-identical.
+    Its next open detects the damage (header parse or metadata
+    validation) and quarantines the file with a reason report: the disk
+    statistics backend rebuilds the statistic from the source scores,
+    and the sample store starts the label column again empty — the
+    chaos gates assert that recovery is byte-identical.
 
     Args:
         store_dir: the persistent store directory.

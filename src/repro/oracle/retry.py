@@ -19,8 +19,9 @@ that makes both properties hold mechanically:
   identically), and an optional total retry budget accounted
   separately from the label budget.
 - :class:`RetryingOracle` — wraps any label function.  It sits *below*
-  :class:`~repro.oracle.base.BudgetedOracle` and below the sample
-  store's labeler, so retries happen before any budget or cache
+  :class:`~repro.oracle.base.BudgetedOracle` and below the label
+  column of the lookup :meth:`repro.core.pipeline.SampleStore.labeler`
+  builds, so retries happen before any budget, cache or column
   bookkeeping: a draw that eventually succeeds charges its labels
   exactly once, a draw that never succeeds charges nothing.
 

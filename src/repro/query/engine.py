@@ -24,8 +24,7 @@ Batch execution
 every statement is parsed and compiled, a
 :class:`~repro.core.planning.QueryPlan` groups the executions by
 (dataset fingerprint × :class:`~repro.sampling.designs.SampleDesign` ×
-seed), and each distinct design is pre-drawn exactly once — spilled to
-the disk tier when the engine has a ``store_dir`` — *before* any
+seed), and each distinct design is pre-drawn exactly once *before* any
 query executes or any worker forks.  Independent groups then fan
 across ``jobs`` worker processes through
 :func:`~repro.core.planning.fan_out` (fork inheritance hands every
@@ -141,14 +140,13 @@ class SupgEngine:
         context: optional externally owned execution context; by
             default the engine creates its own, giving every engine
             instance an independent sample store.
-        store_dir: spill directory for the sample store's persistent
-            tier.  Engine sessions sharing a directory — including
-            sessions in different processes, or across restarts —
-            reuse each other's labeled oracle samples (the paper's
-            cost model charges per distinct labeled record, so spilled
-            labels are real savings).  Mutually exclusive with
-            ``context``; construct the context's store with
-            ``SampleStore(store_dir=...)`` instead.
+        store_dir: directory of the sample store's persistent tier:
+            one oracle label column per dataset.  Engine sessions
+            sharing a directory — including sessions in different
+            processes, or across restarts — pay for each record's label
+            once (the paper's cost model charges per distinct labeled
+            record).  Mutually exclusive with ``context``; construct the
+            context's store with ``SampleStore(store_dir=...)`` instead.
         retry_policy: oracle retry configuration
             (:class:`~repro.oracle.retry.RetryPolicy`) applied to every
             label-drawing path of this session — store draws, fresh
@@ -241,7 +239,7 @@ class SupgEngine:
             if store_dir is None:
                 raise ValueError(
                     "backend='disk' requires a persistent store directory; the "
-                    "statistic files live next to the store's spills (pass "
+                    "statistic files live next to the store's label columns (pass "
                     "store_dir=... or --store-dir)"
                 )
             return DiskBackend(
@@ -534,10 +532,11 @@ class SupgEngine:
 
         The batch is compiled, grouped by shared oracle draw, and each
         distinct (dataset × design × seed) is pre-drawn exactly once
-        into the session store (spilling to disk when the engine has a
-        ``store_dir``) before anything executes.  With ``jobs > 1``,
-        workers fork *after* that warm-up, so every group is served
-        from the inherited store instead of being re-drawn per worker.
+        into the session store before anything executes.  With
+        ``jobs > 1``, workers fork *after* that warm-up, so every group
+        is served from the inherited store instead of being re-drawn
+        per worker, and with a ``store_dir`` every worker writes the
+        labels it pays for into the label columns the parent opened.
 
         Results are bit-identical to a sequential ``execute()`` loop
         over the same statements, for any ``jobs``.

@@ -23,9 +23,8 @@ The moving parts:
   elapsed since the window's first arrival, whichever comes first.  A
   closed window is compiled, grouped via
   :func:`~repro.core.planning.plan_executions`, pre-drawn (each
-  distinct design exactly once — spilled to disk when the engine has a
-  ``store_dir``), then executed, with results routed back to each
-  submitter's ticket.
+  distinct design exactly once), then executed, with results routed
+  back to each submitter's ticket.
 - **Late folding** — after a window's groups are pre-drawn but before
   it executes, arrivals still sitting in the queue whose group is
   already warm are folded into the executing window
@@ -55,7 +54,7 @@ Admission is bounded and failure under load is *typed*, never silent:
   ``"batch"``).  Window membership is chosen by equal-weight
   round-robin across clients, so one flooding client cannot starve
   others, and the scheduler dispatches at most
-  ``max_interactive_staleness`` batch windows while an interactive
+  :data:`MAX_INTERACTIVE_STALENESS` batch windows while an interactive
   ticket is pending — the interactive lane's bounded-staleness
   guarantee.
 - With ``max_inflight_windows > 1``, windows over disjoint
@@ -151,6 +150,13 @@ DEFAULT_WINDOW_MS = 25.0
 #: Ring-buffer capacity for per-window records (cumulative counters
 #: keep counting past it).
 DEFAULT_WINDOW_LOG_LIMIT = 512
+
+#: ``client_id`` of submissions that pass none.
+DEFAULT_CLIENT = "default"
+
+#: K in the interactive lane's bounded-staleness guarantee: at most K
+#: batch windows are dispatched while an interactive ticket waits.
+MAX_INTERACTIVE_STALENESS = 1
 
 #: Per-lane latency samples kept for the health snapshot's percentiles.
 LANE_LATENCY_SAMPLES = 2048
@@ -454,12 +460,8 @@ class SupgService:
         admission_timeout_s: how long ``"block"`` admission waits for
             queue space before raising :class:`AdmissionRejected`;
             ``None`` waits forever.
-        default_client: ``client_id`` for submissions that pass none.
         default_lane: lane for submissions that pass none
             (``"batch"``).
-        max_interactive_staleness: K in the bounded-staleness
-            guarantee — at most K batch windows are dispatched while an
-            interactive ticket waits.
         max_inflight_windows: windows executing concurrently (worker
             threads); windows sharing a coarse ``(table, seed)`` group
             never overlap.  ``1`` (the default) executes windows
@@ -482,9 +484,7 @@ class SupgService:
         max_queue_depth: int | None = None,
         admission: str = "block",
         admission_timeout_s: float | None = 30.0,
-        default_client: str = "default",
         default_lane: str = "batch",
-        max_interactive_staleness: int = 1,
         max_inflight_windows: int = 1,
         window_log_limit: int = DEFAULT_WINDOW_LOG_LIMIT,
         breaker: OracleCircuitBreaker | None = None,
@@ -514,11 +514,6 @@ class SupgService:
             )
         if default_lane not in LANES:
             raise ValueError(f"default_lane must be one of {LANES}, got {default_lane!r}")
-        if max_interactive_staleness < 0:
-            raise ValueError(
-                "max_interactive_staleness must be non-negative, "
-                f"got {max_interactive_staleness}"
-            )
         if max_inflight_windows <= 0:
             raise ValueError(
                 f"max_inflight_windows must be positive, got {max_inflight_windows}"
@@ -535,9 +530,7 @@ class SupgService:
         self.max_queue_depth = max_queue_depth
         self.admission = admission
         self.admission_timeout_s = admission_timeout_s
-        self.default_client = default_client
         self.default_lane = default_lane
-        self.max_interactive_staleness = max_interactive_staleness
         self.max_inflight_windows = max_inflight_windows
         self.window_log_limit = window_log_limit
         self._breaker = breaker
@@ -613,8 +606,8 @@ class SupgService:
                 oracle draw.
             method: selector registry name override.
             stage_budget: joint-query stage budget override.
-            client_id: fairness identity; defaults to the service's
-                ``default_client``.
+            client_id: fairness identity; defaults to
+                :data:`DEFAULT_CLIENT`.
             lane: ``"interactive"`` or ``"batch"``; defaults to the
                 service's ``default_lane``.
             admission_timeout: per-call override of
@@ -632,7 +625,7 @@ class SupgService:
         lane = self.default_lane if lane is None else lane
         if lane not in LANES:
             raise ValueError(f"lane must be one of {LANES}, got {lane!r}")
-        client = self.default_client if client_id is None else str(client_id)
+        client = DEFAULT_CLIENT if client_id is None else str(client_id)
         submission = _Submission(
             parsed=parsed,
             seed=self._default_seed if seed is None else seed,
@@ -810,8 +803,8 @@ class SupgService:
         errors, failed executions, breaker or deadline failures),
         ``distinct_draws``, ``queries_folded`` (statements beyond the
         first of each group), ``late_folded`` (arrivals absorbed after
-        the window closed), ``warm_draws`` (groups already in the store
-        before the window pre-drew), ``labels_drawn`` / ``labels_saved``
+        the window closed), ``warm_draws`` (groups already in the store's
+        memory before the window pre-drew), ``labels_drawn`` / ``labels_saved``
         (what the window's own store fetches drew and were served,
         counted by :func:`~repro.core.pipeline.label_tally`),
         ``bytes_shipped`` (index bytes of the results the window's fork
@@ -1017,7 +1010,7 @@ class SupgService:
         elif batch and not interactive:
             lane = "batch"
         elif (
-            self._batch_windows_stale >= self.max_interactive_staleness
+            self._batch_windows_stale >= MAX_INTERACTIVE_STALENESS
             or self._pending[0].lane == "interactive"
         ):
             lane = "interactive"
@@ -1368,7 +1361,7 @@ class SupgService:
         with label_tally() as tally:
             if compiled:
                 # Planning and prewarm touch real resources (the oracle,
-                # the spill directory); a failure here must fail
+                # the label columns); a failure here must fail
                 # tickets, not unwind into the scheduler.  Prewarm
                 # failures are isolated per group: only the executions
                 # that needed the broken draw are doomed, the rest of

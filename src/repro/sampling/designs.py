@@ -15,12 +15,8 @@ which also records the generator state *after* the draw so multi-stage
 algorithms (Algorithm 5) can resume their random stream bit-exactly
 when stage 1 is served from the cache.
 
-Samples are also the unit of the store's persistent tier
-(:mod:`repro.core.pipeline`): a :class:`LabeledSample` round-trips
-through an ``.npz`` spill file — arrays verbatim, ``rng_state`` as
-JSON.  The default PCG64 state is plain integers, so the JSON
-round-trip is exact and a resumed stage-2 stream is bit-identical
-whether stage 1 came from memory, disk, or a fresh draw.
+A resumed stage-2 stream is therefore bit-identical whether stage 1
+came from the store's memory or a fresh draw.
 """
 
 from __future__ import annotations

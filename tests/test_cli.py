@@ -207,8 +207,10 @@ class TestPlanBatchMode:
         assert code == 2
 
     def test_plan_store_dir_diff_reports_warm_keys(self, tmp_path):
-        """The cross-batch reuse report: a second plan over a primed
-        store shows which draws are already warm."""
+        """The cross-batch reuse report is exact: a plan over an empty
+        store counts the labels the batch will pay, and one over a
+        primed store counts none, though a new process holds no draw in
+        memory."""
         sql_file = tmp_path / "batch.sql"
         sql_file.write_text(BATCH_SQL)
         store = tmp_path / "store"
@@ -217,18 +219,25 @@ class TestPlanBatchMode:
                                 "--store-dir", str(store)])
         assert code == 0
         assert "0/2 draws already warm" in output
+        header = next(line for line in output.splitlines() if line.startswith("store diff"))
+        predicted = int(header.split("; ")[1].split()[0])
+        assert predicted > 0
+        assert list(store.iterdir()) == []  # the report writes nothing
 
-        code, _ = run_cli(
+        code, output = run_cli(
             ["query", "--dataset", "imagenet", "--size", "10000",
              "--sql-file", str(sql_file), "--store-dir", str(store)]
         )
         assert code == 0
+        paid = [int(line.split()[2]) for line in output.splitlines()
+                if line.startswith("labels    :")]
+        assert paid == [predicted]
         code, output = run_cli(["plan", str(sql_file), "--size", "10000",
                                 "--store-dir", str(store)])
         assert code == 0
-        assert "2/2 draws already warm" in output
-        assert "<= 0 labels still to draw" in output
-        assert "warm (disk)" in output
+        assert "0/2 draws already warm; 0 labels still to pay" in output
+        assert output.count("labels unknown)") == 2
+        assert output.count("cold (0 of ") == 2
 
 
 class TestServe:
@@ -356,20 +365,21 @@ class TestStoreSubcommand:
         assert code == 0
         code, output = run_cli(["store", "ls", "--store-dir", str(store)])
         assert code == 0
-        assert "1 spill files" in output
-        assert "proxy-weighted(budget=500" in output
-        assert "spills=1" in output  # persistent history
+        (column,) = [line for line in output.splitlines() if line.startswith("labels    :")]
+        assert "-labels.npy" in column and "of 10000 labels known" in column
+        assert column.endswith("[warm]")
+        assert "total     : 1 statistic files" in output
         code, output = run_cli(["store", "clear", "--store-dir", str(store)])
         assert code == 0
-        assert "1 store files" in output
+        assert "2 store files" in output  # the column and its sidecar
         code, output = run_cli(["store", "ls", "--store-dir", str(store)])
         assert code == 0
-        assert "0 spill files" in output
+        assert "total     : 0 statistic files" in output
 
     def test_ls_empty_directory(self, tmp_path):
         code, output = run_cli(["store", "ls", "--store-dir", str(tmp_path)])
         assert code == 0
-        assert "0 spill files" in output
+        assert "total     : 0 statistic files, 0 bytes" in output
 
 
 class TestQueryBoundAndDiagnostics:
@@ -544,10 +554,10 @@ class TestStoreQuarantineListing:
              "--sql", RT_SQL, "--store-dir", str(store)]
         )
         assert code == 0
-        # Corrupt the spill, trigger quarantine via a re-run.
-        from repro.faults import corrupt_spill
+        # Corrupt the label column, trigger quarantine via a re-run.
+        from repro.faults import corrupt_statistic
 
-        corrupt_spill(store, mode="garbage")
+        corrupt_statistic(store, mode="garbage")
         code, _ = run_cli(
             ["query", "--dataset", "imagenet", "--size", "10000",
              "--sql", RT_SQL, "--store-dir", str(store)]

@@ -39,9 +39,6 @@ ENGINE_STAT_KEYS = {
     "entries",
     "hits",
     "misses",
-    "disk_hits",
-    "disk_errors",
-    "disk_evictions",
     "quarantined",
     "oracle_retries",
     "labels_drawn",

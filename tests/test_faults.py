@@ -37,7 +37,7 @@ from repro.faults import (
     FaultPlan,
     FaultyOracle,
     active_plan,
-    corrupt_spill,
+    corrupt_statistic,
     inject,
     maybe_kill_worker,
     wrap_label_fn,
@@ -229,15 +229,16 @@ class TestFaultPlan:
             maybe_kill_worker([0, 1, 2])
             assert not plan.worker_killed
 
-    def test_corrupt_spill_modes_and_errors(self, workload, tmp_path):
+    def test_corrupt_statistic_modes_and_errors(self, workload, tmp_path):
         with pytest.raises(FileNotFoundError):
-            corrupt_spill(tmp_path)
-        SampleStore(store_dir=tmp_path).fetch(workload, DESIGN, 0)
+            corrupt_statistic(tmp_path)
+        SampleStore(store_dir=tmp_path).fetch(workload, DESIGN, 0)  # a label column
         with pytest.raises(IndexError):
-            corrupt_spill(tmp_path, which=5)
+            corrupt_statistic(tmp_path, which=5)
         with pytest.raises(ValueError, match="corruption mode"):
-            corrupt_spill(tmp_path, mode="nonsense")
-        path = corrupt_spill(tmp_path, mode="garbage")
+            corrupt_statistic(tmp_path, mode="nonsense")
+        path = corrupt_statistic(tmp_path, mode="garbage")
+        assert path.name.endswith("-labels.npy")
         assert path.read_bytes().startswith(b"this is not")
 
 

@@ -10,7 +10,7 @@ The contracts pinned here:
 2. Fairness and priority are scheduling invariants, tested with gated
    windows (Events), not sleeps: a flooding client cannot push another
    client's ticket beyond the round-robin bound, and an interactive
-   ticket never waits behind more than ``max_interactive_staleness``
+   ticket never waits behind more than ``MAX_INTERACTIVE_STALENESS``
    batch windows.
 3. The window log is a ring buffer with monotone cumulative counters.
 4. The oracle circuit breaker trips after N consecutive failures, fails
@@ -292,7 +292,7 @@ def test_flooding_client_cannot_starve_another(beta_dataset):
 
 
 def test_interactive_waits_behind_at_most_k_batch_windows(beta_dataset):
-    service, gate = _gated_service(beta_dataset, max_interactive_staleness=1)
+    service, gate = _gated_service(beta_dataset)
     try:
         service.submit(RT.format(gamma=80), lane="batch")
         assert gate.entered.wait(10)

@@ -106,7 +106,7 @@ class TestCompareMethodsTrialOuter:
         )
         assert second == first
         stats = context.stats()
-        assert stats["labels_drawn"] == 0 and stats["disk_hits"] == 3
+        assert stats["labels_drawn"] == 0 and stats["misses"] == 3
 
 
 class TestRunSweepCellsPanels:
@@ -150,24 +150,26 @@ class TestRunSweepCellsPanels:
 
 
 class TestCrossWorkerWarmup:
-    """Parallel runs with a store_dir pre-spill their distinct draws
-    before forking, so workers warm up from disk instead of racing to
-    re-label the same (dataset, design, seed) keys."""
+    """Parallel runs with a store_dir label their distinct draws before
+    forking, so workers redraw them from the label column instead of
+    racing to re-label the same (dataset, design, seed) keys."""
 
-    def test_prewarm_spills_one_file_per_distinct_key(self, workload, tmp_path):
+    def test_prewarm_labels_every_distinct_key_in_one_column(self, workload, tmp_path):
         from repro.core import SampleStore
+        from repro.core.stats_backend import statistic_entries
         from repro.experiments.runner import _prewarm_store_dir
 
         query = ApproxQuery.recall_target(0.9, 0.05, 300)
         slots = [(factory, label) for label, factory in _bound_panel(query).items()]
         _prewarm_store_dir(slots, workload, trials=3, base_seed=0, store_dir=str(tmp_path))
-        # Three bounds share one uniform design -> one spill per seed.
-        assert len(list(tmp_path.glob("sample-*.npz"))) == 3
+        # Three bounds share one uniform design; three seeds, one column.
+        (column,) = statistic_entries(tmp_path)
+        assert column["stat"] == "labels" and column["known"] > 0
         follower = SampleStore(store_dir=str(tmp_path))
         context = ExecutionContext(store=follower)
         compare_methods(_bound_panel(query), workload, trials=3, context=context)
         assert follower.stats()["labels_drawn"] == 0
-        assert follower.stats()["disk_hits"] == 3
+        assert follower.stats()["misses"] == 3
 
     def test_parallel_panel_with_store_dir_matches_sequential(self, workload, tmp_path):
         query = ApproxQuery.recall_target(0.9, 0.05, 300)
@@ -176,7 +178,7 @@ class TestCrossWorkerWarmup:
             _bound_panel(query), workload, trials=4, n_jobs=2, store_dir=str(tmp_path)
         )
         assert parallel == sequential
-        assert len(list(tmp_path.glob("sample-*.npz"))) == 4
+        assert [p.name.endswith("-labels.npy") for p in tmp_path.glob("stat-*.npy")] == [True]
 
     def test_parallel_cells_with_store_dir_share_labels(self, workload, tmp_path):
         from repro.core import SampleStore
@@ -189,14 +191,14 @@ class TestCrossWorkerWarmup:
         sequential = run_sweep_cells(cells)
         parallel = run_sweep_cells(cells, n_jobs=2, store_dir=str(tmp_path))
         assert parallel == sequential
-        # Both cells revisit the same keys: one spill per seed total,
-        # written by the parent before the fork.
-        assert len(list(tmp_path.glob("sample-*.npz"))) == TRIALS
+        # Both cells revisit the same keys, labeled once into one column
+        # by the parent before the fork.
+        assert [p.name.endswith("-labels.npy") for p in tmp_path.glob("stat-*.npy")] == [True]
         from repro.sampling import SampleDesign
 
         follower = SampleStore(store_dir=str(tmp_path))
         follower.fetch(workload, SampleDesign(kind="uniform", budget=300), 0)
-        assert follower.labels_drawn == 0 and follower.disk_hits == 1
+        assert follower.labels_drawn == 0 and follower.misses == 1
 
 
 class TestUnionSortedUnique:
@@ -433,11 +435,10 @@ class TestDriverDrawCounts:
         assert context.store.misses == TRIALS * 2
         assert context.store.hits == 0
 
-    def test_figure13_second_store_dir_run_draws_nothing(self, tmp_path):
+    def test_figure13_second_store_dir_run_pays_no_labels(self, tmp_path):
         first = figure13(trials=TRIALS, size=SIZE, budget=600, store_dir=str(tmp_path))
         context = ExecutionContext(store=SampleStore(store_dir=str(tmp_path)))
         second = figure13(trials=TRIALS, size=SIZE, budget=600, context=context)
         assert second.rows == first.rows
         stats = context.stats()
-        assert stats["labels_drawn"] == 0 and stats["misses"] == 0
-        assert stats["disk_hits"] == TRIALS * 2
+        assert stats["labels_drawn"] == 0 and stats["misses"] == TRIALS * 2

@@ -159,18 +159,20 @@ class TestOneDrawPerDistinctDesign:
         assert stats["labels_drawn"] <= 400 + 200
 
     def test_jobs_path_draws_each_design_once(self, beta_dataset, tmp_path):
-        """Workers fork *after* the shared designs are spilled: the
-        parent's store holds every distinct draw, and a second engine
-        over the same directory draws zero labels."""
+        """Workers fork *after* the shared designs are drawn and the
+        label column is open: the parent's store holds every distinct
+        draw, and a second engine over the same directory redraws both
+        and pays zero labels."""
         engine = _engine(beta_dataset, store_dir=str(tmp_path))
         engine.execute_many(MIXED_BATCH, seed=3, jobs=3)
         assert engine.session_stats()["misses"] == 2
-        assert len(list(tmp_path.glob("sample-*.npz"))) == 2
+        assert len(list(tmp_path.glob("stat-*-labels.npy"))) == 1
+        assert not list(tmp_path.glob("sample-*"))
 
         second = _engine(beta_dataset, store_dir=str(tmp_path))
         second.execute_many(MIXED_BATCH[:7], seed=3)
         stats = second.session_stats()
-        assert stats["labels_drawn"] == 0 and stats["disk_hits"] == 2
+        assert stats["labels_drawn"] == 0 and stats["misses"] == 2
 
     def test_oracle_udf_statements_stay_unplanned(self, beta_dataset):
         engine = _engine(beta_dataset)
@@ -321,19 +323,24 @@ class TestWarmKeysDiff:
         text = plan.render_store_diff(store)
         assert "0/2 draws already warm" in text and "cold" in text
 
-        # Draw one of the two groups; it becomes memory-warm here and
-        # disk-warm for a fresh store over the same directory.
-        first_key = next(iter(plan.groups))
-        store.fetch(beta_dataset, first_key[1], first_key[2])
+        # Draw one of the two groups; it becomes memory-warm here.  A
+        # fresh store over the same directory holds no draw in memory,
+        # but its column knows the drawn group's labels.
+        first_key, second_key = plan.groups
+        sample = store.fetch(beta_dataset, first_key[1], first_key[2])
         tiers = plan.warm_keys(store)
         assert tiers[first_key] == "memory"
         assert sum(1 for tier in tiers.values() if tier is None) == 1
+        assert "1/2 draws already warm" in plan.render_store_diff(store)
 
         fresh = SampleStore(store_dir=str(tmp_path))
-        assert plan.warm_keys(fresh)[first_key] == "disk"
-        assert "warm (disk)" in plan.render_store_diff(fresh)
-        # The cold-labels estimate counts only the still-cold group.
-        assert "1/2 draws already warm" in plan.render_store_diff(fresh)
+        assert set(plan.warm_keys(fresh).values()) == {None}
+        text = plan.render_store_diff(fresh)
+        assert f"cold (0 of {sample.oracle_calls} labels unknown)" in text
+        # The header counts exactly what the cold group would pay.
+        other = SampleStore(store_dir=str(tmp_path))
+        other.fetch(beta_dataset, second_key[1], second_key[2])
+        assert f"0/2 draws already warm; {other.labels_drawn} labels still to pay" in text
 
     def test_locate_without_store_dir(self, beta_dataset):
         store = SampleStore()

@@ -343,14 +343,19 @@ class TestErrorsAndStores:
             ]
             for ticket in tickets:
                 ticket.result(timeout=120.0)
-        assert len(list(tmp_path.glob("sample-*.npz"))) == 1
+        assert [p.name.endswith("-labels.npy") for p in tmp_path.glob("stat-*.npy")] == [True]
+        assert not list(tmp_path.glob("sample-*"))
 
+        # A second service pays no labels; its window's draw is warm in
+        # no memory, so it counts as cold.
         second = _engine(beta_dataset, store_dir=str(tmp_path))
         with SupgService(second, max_window_queries=1, max_window_ms=5_000.0) as warm:
             warm.submit(RT.format(gamma=90), seed=2).result(timeout=120.0)
         stats = warm.session_stats()
-        assert stats["labels_drawn"] == 0 and stats["disk_hits"] == 1
-        assert warm.window_log[0]["warm_draws"] == 1
+        assert stats["labels_drawn"] == 0 and stats["misses"] == 1
+        assert warm.window_log[0]["warm_draws"] == 0
+        assert warm.window_log[0]["labels_drawn"] == 0
+        assert warm.window_log[0]["labels_saved"] == stats["labels_saved"] > 0
 
     def test_validation(self, beta_dataset):
         engine = _engine(beta_dataset)
