@@ -36,11 +36,13 @@ selector runs, and three layers keep it fast:
   underlying float bounds agree exactly for Clopper-Pearson and the
   bootstrap, and to rounding for the cumulative-sum-based normal and
   Hoeffding paths).
-- **Cached dataset statistics.**  ``Dataset`` memoizes its sorted proxy
-  scores (``Dataset.sorted_scores`` / ``Dataset.descending_scores``,
-  ``Dataset.score_order``) and the inverse CDF of its defensive
-  importance weights keyed by ``(exponent, mixing)``
-  (``Dataset.sampling_cdf``), so repeated trials stop re-sorting and
+- **Cached dataset statistics.**  ``Dataset`` memoizes a score bucket
+  index (``Dataset.score_order`` and ``Dataset.zone_map``: the records
+  in a radix order of their scores' top 16 bits, with per-bucket
+  counts) that serves every threshold scan and IS-CI-P's stage-1 order
+  statistic (``Dataset.score_at_rank``), and the inverse CDF of its
+  defensive importance weights keyed by ``(exponent, mixing)``
+  (``Dataset.sampling_cdf``), so repeated trials stop re-scanning and
   re-weighting the full dataset, and a draw is ``s`` binary searches.  Caches are
   per-instance: ``subset``/``with_scores`` return fresh instances and
   never observe stale statistics; cached arrays are read-only because

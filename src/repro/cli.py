@@ -90,7 +90,7 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
         "--backend",
         choices=("memory", "disk"),
         default=None,
-        help="where dataset statistics (sorted scores, argsort order, "
+        help="where dataset statistics (the score bucket index, "
         "importance-weight CDFs) live: 'memory' (RAM ndarrays, default) or "
         "'disk' (fingerprint-keyed .npy files under --store-dir opened "
         "as memmap windows; construction is chunked so peak RSS stays "
@@ -101,8 +101,8 @@ def _add_backend_flags(sub: argparse.ArgumentParser) -> None:
         "--chunk-records",
         type=int,
         default=None,
-        help="records per chunk for the disk backend's external sort "
-        "and streaming CDF passes (default 1048576); requires "
+        help="records per chunk for the disk backend's streaming index "
+        "build and CDF passes (default 1048576); requires "
         "--backend disk",
     )
 

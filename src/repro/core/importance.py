@@ -244,16 +244,15 @@ class ImportanceCIPrecisionTwoStage(_ImportanceSelector):
 
         # Thresholds below the (n_match / gamma)-th highest score cannot
         # reach precision gamma even if every match lands above them.
-        # The descending sort is cached on the dataset, so repeated
-        # trials read one order statistic instead of re-sorting O(n log n).
+        # The order statistic comes from one partition inside one score
+        # bucket of the dataset's cached index, not from a full sort.
         cut_rank = min(dataset.size, max(1, math.ceil(n_match_ub / self.query.gamma)))
-        tau_min = float(dataset.descending_scores[cut_rank - 1])
+        tau_min = dataset.score_at_rank(cut_rank)
         # select_above skips through the dataset's zone map when one
         # exists (bit-identical to the dense flatnonzero scan), so the
         # stage-1 region costs O(region) instead of a full O(n) pass.
-        # Under a disk statistics backend the same call runs the paged
-        # variant: only the boundary stratum and the selected tail are
-        # faulted in from the statistic files, never the whole column.
+        # Under a disk statistics backend only the buckets the cut
+        # reaches are read from the order file, never the whole column.
         region = dataset.select_above(tau_min)
 
         # Stage 2: candidate scan over a weighted sample from the region.
@@ -278,7 +277,6 @@ class ImportanceCIPrecisionTwoStage(_ImportanceSelector):
             delta=self.query.delta / 2.0,
             bound=self.bound,
             step=self.step,
-            dataset=dataset,
         )
         tau = max(tau, tau_min)
         details: dict[str, object] = {

@@ -715,10 +715,9 @@ def materialize_selection(
 
     The ``R2`` half (``dataset.select_above(tau)``) skips through the
     dataset's zone map when one exists (:mod:`repro.core.zonemap`):
-    instead of an O(n) boolean mask, it binary-searches the stratum
-    bounds and materializes only the boundary stratum plus the
-    cumulative tail of the sorted order — byte-identical output,
-    O(selected) work.
+    instead of an O(n) boolean mask, it reads the bucket order's run of
+    every score bucket above tau's, plus tau's own bucket filtered by
+    score — byte-identical output, O(selected) work.
     """
     sample_list = tuple(samples)
     sampled = sample_list[0].distinct_indices

@@ -382,8 +382,8 @@ class PlannedExecution:
         note: why the execution is *not* plannable (oracle UDF,
             generator seed, joint query, no declared design) — empty
             for grouped executions.
-        skip: zone-map cost estimate (strata touched × stratum size)
-            for the execution's materialization, when its dataset is
+        skip: zone-map cost estimate (non-empty score buckets and rows
+            touched) for the execution's materialization, when its dataset is
             indexed — ``None`` for unindexed datasets and unplanned
             executions.
     """
@@ -708,9 +708,10 @@ def _skip_estimate(
 ) -> SkipEstimate | None:
     """Zone-map cost estimate for one plannable execution, or ``None``.
 
-    Uses the per-stratum proxy-score mass as the expected positive
-    count (the calibrated-proxy assumption :func:`plan_budget` already
-    makes), so the estimate needs no oracle labels: an RT query keeps
+    Uses each score bucket's count times its midpoint score as its
+    expected positive count (the calibrated-proxy assumption
+    :func:`plan_budget` already makes), so the estimate needs no oracle
+    labels: an RT query keeps
     the smallest score tail holding ``gamma`` of the expected positive
     mass, a PT query the largest tail whose expected precision still
     meets ``gamma``.

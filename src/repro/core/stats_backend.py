@@ -1,48 +1,41 @@
 """Statistics backends: one provider interface from Dataset to zone map.
 
 SUPG's selectors only ever touch a dataset through a handful of derived
-statistics — the ascending sorted proxy scores (Algorithm 5's stage-1
-cut), the stable argsort order that maps sorted positions back to record
-indices, the inverse CDF of each defensive importance-weight design
-(:class:`~repro.sampling.SamplingCDF`, which every importance draw of
-Algorithms 4-5 searches), and the score zone map that serves every
-threshold scan (:mod:`repro.core.zonemap`).
-Historically those lived as ad-hoc ``Dataset`` cached properties, which
-assumes every statistic is a fully materialized ``ndarray`` in RAM and
-caps the system at memory-sized datasets.
+statistics: the score bucket index that serves every threshold scan and
+IS-CI-P's stage-1 cut (:mod:`repro.core.zonemap`: the bucket order and
+the per-bucket counts), and the inverse CDF of each defensive
+importance-weight design (:class:`~repro.sampling.SamplingCDF`, which
+every importance draw of Algorithms 4-5 searches).  Historically those
+lived as ad-hoc ``Dataset`` cached properties, which assumes every
+statistic is a fully materialized ``ndarray`` in RAM and caps the
+system at memory-sized datasets.
 
 This module puts a provider interface between *what a statistic is* and
 *where its bytes live*:
 
 ``InMemoryBackend``
-    The historical statistics, bit for bit, on RAM arrays: ``np.sort``,
-    the stable argsort from :func:`stable_argsort` (numpy's SIMD
-    ``argsort`` plus a re-sort of each run of tied scores by record
-    index, byte-identical to ``np.argsort(kind="stable")``),
-    :func:`repro.sampling.sampling_cdf`, and
-    :meth:`ScoreZoneMap.build <repro.core.zonemap.ScoreZoneMap.build>`.
+    RAM arrays: the bucket order is numpy's stable radix ``argsort`` of
+    the ``uint16`` bucket keys, the counts one ``np.bincount``
+    (:meth:`ScoreZoneMap.build <repro.core.zonemap.ScoreZoneMap.build>`),
+    and each CDF :func:`repro.sampling.sampling_cdf`.
 
 ``DiskBackend``
     Statistics live in fingerprint-keyed ``.npy`` files under the store
     directory and are handed back as read-only ``np.memmap`` windows.
-    Construction never materializes an O(n) temporary: the sort runs as
-    a chunked external merge sort (:func:`stable_argsort` per chunk,
-    timsort merges of adjacent runs; byte-identical to
-    ``np.argsort(kind="stable")``) and each inverse CDF streams through
-    in O(chunk) passes whose floating-point result is bit-identical to
-    the one-shot in-memory computation (see :func:`chunked_pairwise_sum`
-    and :meth:`DiskBackend._build_cdf`).  Peak RSS during construction
-    and scans is O(chunk_records), not O(n).  The zone map is built once
-    from the sorted scores and kept in a statistic file of its own, so
-    a warm store serves every statistic without sorting.
+    Construction never materializes an O(n) temporary: the index is
+    built in two streaming passes over ``chunk_records`` chunks (count
+    the keys; then radix-sort each chunk's keys and scatter its record
+    indices to per-bucket cursors, see :func:`scatter_bucket_order`),
+    and each inverse CDF streams through in O(chunk) passes whose
+    floating-point result is bit-identical to the one-shot in-memory
+    computation (see :func:`chunked_pairwise_sum` and
+    :meth:`DiskBackend._build_cdf`).  Peak RSS during construction and
+    scans is O(chunk_records), not O(n).  A warm store serves every
+    statistic without building anything.
 
 Bit-identity across backends is the contract, not an aspiration: every
-query result, every random draw, and every selection must be
-byte-identical whichever backend serves the statistics.  The only
-permitted divergence is the internal byte layout of equal-comparing
-signed zeros inside ``sorted_scores`` (``np.sort`` is not stable, the
-external merge is) — value-identical, and invisible to ``searchsorted``
-and every selection path, which go through the stable ``score_order``.
+statistic, every random draw, and every selection must be byte-identical
+whichever backend serves the statistics.
 
 Corrupt or stale backend files (fingerprint/shape/dtype mismatch,
 truncation, garbage) are quarantined with a forensic reason sidecar and
@@ -79,14 +72,16 @@ from ..sampling.weighted import (
     validate_design,
     validate_scores,
 )
-from .zonemap import ZONE_MAP_COUNTERS, ScoreZoneMap, stratum_offsets
+from .zonemap import BUCKETS, ZONE_MAP_COUNTERS, ScoreZoneMap, bucket_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..datasets.base import Dataset
 
 __all__ = [
+    "COUNTS_STAT",
     "DEFAULT_CHUNK_RECORDS",
     "LABELS_STAT",
+    "ORDER_STAT",
     "QUARANTINE_DIRNAME",
     "STAT_FILE_GLOB",
     "STAT_META_GLOB",
@@ -94,23 +89,20 @@ __all__ = [
     "InMemoryBackend",
     "DiskBackend",
     "cdf_stat_name",
-    "chunked_argsort",
     "chunked_pairwise_sum",
-    "external_stable_argsort",
     "finalize_statistic",
     "open_statistic",
     "quarantine_statistic",
-    "stable_argsort",
+    "scatter_bucket_order",
     "stat_filename",
     "StaleStatistic",
     "statistic_entries",
-    "ZONE_MAP_STAT",
 ]
 
-#: Default records per chunk for the disk backend's external sort and
-#: streaming CDF passes.  1M float64 records is 8 MiB per buffer —
+#: Default records per chunk for the disk backend's index build and
+#: streaming CDF passes.  1M float64 records is 8 MiB per buffer:
 #: small enough that construction peaks far below the dataset footprint,
-#: large enough that the merge runs at memory bandwidth.
+#: large enough that each pass runs at memory bandwidth.
 DEFAULT_CHUNK_RECORDS = 1 << 20
 
 #: Backend statistic files under a store directory.
@@ -124,8 +116,14 @@ STAT_META_GLOB = "stat-*.npy.meta.json"
 _META_SUFFIX = ".meta.json"
 _STAT_FORMAT_VERSION = 1
 
-#: Statistic name of the persisted zone map.
-ZONE_MAP_STAT = "zone-map"
+#: Statistic names of the score bucket index: the record indices in
+#: bucket order (``intp``, one per record) and the per-bucket record
+#: counts (``int64``, one per bucket).  Stores written before the index
+#: held ``sorted-scores``, ``score-order`` and ``zone-map`` files; no
+#: backend opens those names, so a parent-era ``score-order`` file (the
+#: right length and dtype, but another order) is never served.
+ORDER_STAT = "bucket-order"
+COUNTS_STAT = "bucket-counts"
 
 #: Statistic name of a dataset's oracle label column: ``int8``, one
 #: byte per record, ``-1`` for a label no one has paid for yet.
@@ -180,205 +178,6 @@ def cdf_stat_name(exponent: float, mixing: float) -> str:
     return f"cdf-{float(exponent):g}-{float(mixing):g}"
 
 
-def stable_argsort(values, ranked=None) -> np.ndarray:
-    """``np.argsort(values, kind="stable")``, byte for byte, at SIMD speed.
-
-    For floats the stable kind is timsort, which no SIMD sort serves;
-    numpy's default ``argsort`` dispatches to x86-simd-sort on AVX2 and
-    AVX-512 but leaves equal values in no particular order.  So this
-    sorts with the default kind, then re-sorts the indices of every run
-    of equal values: one ``int64`` sort of ``run_id * n + index`` over
-    the records whose value ties a neighbour's (at most ``n / 2`` runs,
-    so the keys fit ``int64`` for ``n`` below ``2**32``).  NaNs sort
-    last in every numpy sort, and their run is re-sorted like any other.
-
-    ``ranked`` is the ascending values (``np.sort(values)`` will do);
-    only where its runs of equal values start and end is read, so any
-    layout of equal-comparing ``±0.0`` serves.  When it is not given the
-    values are gathered through the unstable order.
-    """
-    values = np.asarray(values)
-    order = np.argsort(values)
-    n = order.size
-    if n < 2:
-        return order
-    if ranked is None:
-        ranked = values[order]
-    tied = ranked[1:] == ranked[:-1]
-    if ranked[-1] != ranked[-1]:  # NaNs, sorted last, compare unequal
-        tied[np.searchsorted(ranked, ranked[-1]) :] = True
-    if not tied.any():
-        return order
-    member = np.zeros(n, dtype=bool)
-    member[1:] = tied
-    member[:-1] |= tied
-    where = np.flatnonzero(member)
-    run_starts = np.empty(where.size, dtype=bool)
-    run_starts[0] = True
-    np.logical_not(tied[where[1:] - 1], out=run_starts[1:])
-    base = np.cumsum(run_starts, dtype=np.int64) * n
-    key = base + order[where]
-    key.sort()
-    key -= base
-    order[where] = key
-    return order
-
-
-# ----------------------------------------------------------------------
-# Chunked external merge sort.
-#
-# Phase 1 stable-argsorts each contiguous chunk and writes the runs
-# (sorted scores + global indices) into a scratch buffer.  Phase 2
-# repeatedly merges *adjacent* run pairs blockwise: because the left
-# run's indices are all smaller than the right run's, a merge that
-# breaks score ties in favor of the left run reproduces the global
-# stable argsort exactly.  Buffers ping-pong between passes; the initial
-# buffer is chosen by pass-count parity so the final pass lands in the
-# caller's primary buffer.  Peak RSS is O(chunk): each step touches at
-# most one chunk-sized block per run plus the merged block.
-# ----------------------------------------------------------------------
-
-
-def _copy_range(src, dst, lo: int, hi: int, out: int, chunk: int) -> None:
-    """Copy ``src[lo:hi]`` to ``dst[out:...]`` for each (scores, order) pair."""
-    for start in range(lo, hi, chunk):
-        stop = min(start + chunk, hi)
-        for s, d in zip(src, dst):
-            d[out : out + (stop - start)] = s[start:stop]
-        out += stop - start
-
-
-def _merge_adjacent_runs(
-    src,
-    dst,
-    a_lo: int,
-    a_hi: int,
-    b_hi: int,
-    chunk: int,
-    counters: dict[str, int] | None,
-) -> None:
-    """Stable-merge runs ``[a_lo, a_hi)`` and ``[a_hi, b_hi)`` into ``dst``.
-
-    Ties emit the left run first; since the left run holds strictly
-    smaller record indices this is exactly stable-argsort tie order.
-    Each iteration loads one block per run, determines the longest
-    prefixes that can be emitted without seeing more data (every left
-    element ``<=`` the left block's last score is final once the right
-    block's strictly-smaller prefix is known, and vice versa), and
-    merges them with one stable ``argsort`` of their concatenation:
-    timsort finds the two ascending runs and merges them, and on ties
-    it keeps the left run first.
-    """
-    src_scores, src_order = src
-    dst_scores, dst_order = dst
-    ia, ib, out = a_lo, a_hi, a_lo
-    while True:
-        if ia == a_hi:
-            _copy_range(src, dst, ib, b_hi, out, chunk)
-            return
-        if ib == b_hi:
-            _copy_range(src, dst, ia, a_hi, out, chunk)
-            return
-        a_blk = np.asarray(src_scores[ia : min(ia + chunk, a_hi)])
-        b_blk = np.asarray(src_scores[ib : min(ib + chunk, b_hi)])
-        last_a = a_blk[-1]
-        last_b = b_blk[-1]
-        if last_a <= last_b or last_b != last_b:
-            # Every element of a_blk is final; b's strictly-below-last_a
-            # prefix is final (ties wait so the left run emits first).
-            # NaN sorts last, as ``searchsorted`` assumes.
-            na = int(a_blk.size)
-            nb = int(np.searchsorted(b_blk, last_a, side="left"))
-        else:
-            na = int(np.searchsorted(a_blk, last_b, side="right"))
-            nb = int(b_blk.size)
-        scores = np.concatenate([a_blk[:na], b_blk[:nb]])
-        merge = np.argsort(scores, kind="stable")
-        dst_scores[out : out + na + nb] = scores[merge]
-        # One concatenated column and its gather at a time, beside the
-        # two blocks and the permutation.
-        del scores
-        order = np.concatenate([src_order[ia : ia + na], src_order[ib : ib + nb]])
-        dst_order[out : out + na + nb] = order[merge]
-        ia += na
-        ib += nb
-        out += na + nb
-        if counters is not None:
-            counters["chunks_merged"] += 1
-        # The two blocks and the merged block's scores and order.
-        _note_chunk(counters, a_blk.nbytes + b_blk.nbytes + 2 * merge.nbytes)
-
-
-def external_stable_argsort(
-    values,
-    primary,
-    scratch,
-    chunk_records: int,
-    counters: dict[str, int] | None = None,
-):
-    """Chunked stable argsort of ``values`` into preallocated buffers.
-
-    ``primary`` and ``scratch`` are ``(scores, order)`` pairs of
-    length-n array-likes (typically ``np.memmap``).  On return
-    ``primary[0]`` holds the ascending scores and ``primary[1]`` the
-    stable argsort — byte-identical to
-    ``order = np.argsort(values, kind="stable"); scores = values[order]``
-    — with peak working memory O(chunk_records).  The run-generation
-    buffer is chosen by merge-pass parity so the result always lands in
-    ``primary``.  Returns ``primary``.
-    """
-    n = int(values.shape[0]) if hasattr(values, "shape") else len(values)
-    chunk = max(1, int(chunk_records))
-    runs = max(1, -(-n // chunk))
-    passes = 0
-    r = runs
-    while r > 1:
-        r = (r + 1) // 2
-        passes += 1
-    src, dst = (primary, scratch) if passes % 2 == 0 else (scratch, primary)
-    # Phase 1: chunk-local stable runs.
-    bounds = list(range(0, n, chunk)) + [n]
-    if n == 0:
-        return primary
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        part = np.asarray(values[lo:hi], dtype=float)
-        local = stable_argsort(part)
-        src[0][lo:hi] = part[local]
-        src[1][lo:hi] = local + lo
-        _note_chunk(counters, 2 * part.nbytes + 2 * local.nbytes)
-    # Phase 2: merge adjacent run pairs until one run remains.
-    while len(bounds) > 2:
-        new_bounds = [bounds[0]]
-        idx = 0
-        while idx + 2 <= len(bounds) - 1:
-            _merge_adjacent_runs(
-                src, dst, bounds[idx], bounds[idx + 1], bounds[idx + 2], chunk, counters
-            )
-            new_bounds.append(bounds[idx + 2])
-            idx += 2
-        if idx == len(bounds) - 2:
-            # Odd run out: carry it over unchanged.
-            _copy_range(src, dst, bounds[idx], bounds[idx + 1], bounds[idx], chunk)
-            new_bounds.append(bounds[idx + 1])
-        src, dst = dst, src
-        bounds = new_bounds
-    return primary
-
-
-def chunked_argsort(values, chunk_records: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(sorted_values, stable_order)`` via the external merge path.
-
-    In-memory buffers; exists so tests can pin the merge against
-    ``np.argsort(kind="stable")`` without touching disk.
-    """
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    primary = (np.empty(n, dtype=np.float64), np.empty(n, dtype=np.intp))
-    scratch = (np.empty(n, dtype=np.float64), np.empty(n, dtype=np.intp))
-    external_stable_argsort(values, primary, scratch, chunk_records)
-    return primary
-
-
 def chunked_pairwise_sum(
     read: Callable[[int, int], np.ndarray],
     n: int,
@@ -406,6 +205,38 @@ def chunked_pairwise_sum(
     return chunked_pairwise_sum(read, half, chunk_records, offset) + chunked_pairwise_sum(
         read, n - half, chunk_records, offset + half
     )
+
+
+def scatter_bucket_order(
+    scores, counts: np.ndarray, out, chunk_records: int,
+    counters: dict[str, int] | None = None,
+):
+    """Write the bucket order of ``scores`` into ``out``, chunk by chunk.
+
+    ``counts`` are the per-bucket record counts of all of ``scores``, so
+    each bucket's run in ``out`` starts at their prefix sum.  Each chunk's
+    keys are radix-sorted (a stable ``argsort`` of ``uint16``) and its
+    record indices scattered to the cursors of their buckets.  Chunks
+    come in record order and each chunk's sort is stable, so every
+    bucket's run ends in record-index order: ``out`` equals
+    ``np.argsort(bucket_keys(scores), kind="stable")`` byte for byte,
+    with O(chunk_records) working memory.  Each chunk run merged into
+    ``out`` adds 1 to ``chunks_merged``.  Returns ``out``.
+    """
+    cursors = np.cumsum(counts) - counts
+    for low in range(0, len(out), chunk_records):
+        keys = bucket_keys(scores[low : low + chunk_records])
+        local = np.argsort(keys, kind="stable")
+        chunk_counts = np.bincount(keys, minlength=BUCKETS)
+        # Bucket b's records of this chunk go to cursors[b], cursors[b] + 1, ...
+        targets = np.repeat(cursors - (np.cumsum(chunk_counts) - chunk_counts), chunk_counts)
+        targets += np.arange(local.size)
+        out[targets] = local + low
+        cursors += chunk_counts
+        if counters is not None:
+            counters["chunks_merged"] += 1
+        _note_chunk(counters, keys.nbytes + 3 * local.nbytes)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -539,37 +370,34 @@ class StatisticsBackend:
     implementations — callers never know or care which backend served
     them.
 
+    ``score_order`` returns the bucket order and ``zone_map`` an in-RAM
+    :class:`~repro.core.zonemap.ScoreZoneMap` of the per-bucket counts
+    (the dataset applies the ``MIN_INDEXED_SIZE`` gate before asking).
+
     ``sampling_weights`` returns the draw statistic of one weight
     design, a :class:`~repro.sampling.SamplingCDF`: the inverse CDF of
     the defensive weights with their two totals, not the weights
     themselves.  It keeps the name of the weight vector it replaced,
     which perfbench's tracing shims time as the ``stats`` layer.
 
-    ``zone_map`` returns an in-RAM
-    :class:`~repro.core.zonemap.ScoreZoneMap` (its arrays are tiny);
-    the dataset applies the ``MIN_INDEXED_SIZE`` gate before asking.
-
     ``counters`` is one plain dict, cumulative over the backend's life,
     that ``SupgEngine.session_stats()`` reads as is: construction work
-    (``sorts_performed``, ``weight_passes`` — one per CDF built —
-    ``chunks_merged``, ``peak_chunk_bytes``), integrity events
-    (``stats_quarantined``), and the scans of every zone map the backend served
-    (:data:`~repro.core.zonemap.ZONE_MAP_COUNTERS`, ``bytes_paged``
+    (``sorts_performed`` — one per bucket order built — ``weight_passes``
+    — one per CDF built — ``chunks_merged`` — chunk runs merged into an
+    order file — and ``peak_chunk_bytes``), integrity events
+    (``stats_quarantined``), and the scans of every zone map the backend
+    served (:data:`~repro.core.zonemap.ZONE_MAP_COUNTERS`, ``bytes_paged``
     included).  Those maps count straight into this dict, so their
     counts survive a table being registered again or replaced.
     """
 
     #: Whether statistics come back as file-backed memmap windows.  The
-    #: dataset routes threshold scans through the zone map's *paged*
-    #: select path when true, so a scan touches only the strata the tau
-    #: cuts rather than faulting in the whole column.
+    #: dataset then selects without the dense fallback, so a scan reads
+    #: only the buckets the tau reaches rather than the whole column.
     paged = False
 
     def __init__(self) -> None:
         self.counters = _fresh_counters()
-
-    def sorted_scores(self, dataset: "Dataset") -> np.ndarray:
-        raise NotImplementedError
 
     def score_order(self, dataset: "Dataset") -> np.ndarray:
         raise NotImplementedError
@@ -584,23 +412,16 @@ class StatisticsBackend:
 
 
 class InMemoryBackend(StatisticsBackend):
-    """The historical RAM path, bit for bit.
+    """Statistics as RAM arrays."""
 
-    ``score_order`` runs :func:`stable_argsort` over the dataset's
-    ``sorted_scores``, so it reads the tie runs from the ``np.sort``
-    output the zone map needs anyway instead of gathering the scores
-    again; each of the two sorts counts once in ``sorts_performed``.
-    """
-
+    # No query path reads this; perfbench's tracing shims look it up
+    # (ROADMAP, shim hazard).
     def sorted_scores(self, dataset: "Dataset") -> np.ndarray:
-        self.counters["sorts_performed"] += 1
-        out = np.sort(dataset.proxy_scores)
-        out.flags.writeable = False
-        return out
+        return np.sort(dataset.proxy_scores)
 
     def score_order(self, dataset: "Dataset") -> np.ndarray:
         self.counters["sorts_performed"] += 1
-        out = stable_argsort(dataset.proxy_scores, dataset.sorted_scores)
+        out = np.argsort(bucket_keys(dataset.proxy_scores), kind="stable")
         out.flags.writeable = False
         return out
 
@@ -611,7 +432,7 @@ class InMemoryBackend(StatisticsBackend):
         return sampling_cdf(dataset.proxy_scores, exponent, mixing)
 
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
-        zone_map = ScoreZoneMap.build(dataset.sorted_scores)
+        zone_map = ScoreZoneMap.build(dataset.proxy_scores)
         zone_map.counters = self.counters
         return zone_map
 
@@ -628,8 +449,8 @@ class DiskBackend(StatisticsBackend):
     either see the complete pair or nothing.  Opened views are
     ``mmap_mode="r"`` windows shared freely across fork workers (and
     re-openable by path from any process), so a fan-out's workers share
-    the page cache instead of copying bytes.  The zone map is the
-    exception: it is read into RAM, since its arrays are tiny.
+    the page cache instead of copying bytes.  The bucket counts are the
+    exception: they are read into RAM, since they are small.
     """
 
     paged = True
@@ -648,11 +469,18 @@ class DiskBackend(StatisticsBackend):
 
     # -- provider interface --------------------------------------------
 
+    # No query path reads this; perfbench's tracing shims look it up
+    # (ROADMAP, shim hazard).
     def sorted_scores(self, dataset: "Dataset") -> np.ndarray:
-        return self._sort_statistic(dataset, "sorted-scores", np.float64)
+        return np.sort(dataset.proxy_scores)
 
     def score_order(self, dataset: "Dataset") -> np.ndarray:
-        return self._sort_statistic(dataset, "score-order", np.intp)
+        fingerprint = dataset.fingerprint
+        opened = self._open(fingerprint, ORDER_STAT, dataset.size, np.intp)
+        if opened is None:
+            self._build_order(dataset, fingerprint)
+            opened = self._require(fingerprint, ORDER_STAT, dataset.size, np.intp)
+        return opened[0]
 
     def sampling_weights(
         self, dataset: "Dataset", exponent: float, mixing: float
@@ -670,27 +498,8 @@ class DiskBackend(StatisticsBackend):
         return SamplingCDF(view, exponent, mixing, meta["score_total"], meta["weight_total"])
 
     def zone_map(self, dataset: "Dataset") -> ScoreZoneMap:
-        # The file holds the strata's lows, highs and score mass,
-        # concatenated; the offsets follow from the record count.
-        offsets = stratum_offsets(dataset.size)
-        strata = offsets.size - 1
-        fingerprint = dataset.fingerprint
-        opened = self._open(fingerprint, ZONE_MAP_STAT, 3 * strata, np.float64)
-        if opened is not None:
-            zone_map = ScoreZoneMap(offsets, *np.array(opened[0]).reshape(3, strata))
-            zone_map.counters = self.counters
-            return zone_map
-        zone_map = ScoreZoneMap.build(dataset.sorted_scores)
+        zone_map = ScoreZoneMap(self._bucket_counts(dataset))
         zone_map.counters = self.counters
-        summaries = np.concatenate([zone_map.lows, zone_map.highs, zone_map.score_mass])
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = scratch_path(self.directory, ZONE_MAP_STAT)
-        try:
-            np.save(tmp, summaries)
-            self._finalize(tmp, fingerprint, ZONE_MAP_STAT, summaries.size, np.float64)
-        finally:
-            with contextlib.suppress(OSError):
-                tmp.unlink()
         return zone_map
 
     # -- open / validate / quarantine ----------------------------------
@@ -732,47 +541,46 @@ class DiskBackend(StatisticsBackend):
             {"chunk_records": self.chunk_records, **(extra or {})},
         )
 
-    def _sort_statistic(self, dataset: "Dataset", which: str, dtype) -> np.ndarray:
+    def _bucket_counts(self, dataset: "Dataset") -> np.ndarray:
+        """The per-bucket record counts: from their statistic file, or
+        one streaming pass over the scores that writes it."""
         fingerprint = dataset.fingerprint
-        opened = self._open(fingerprint, which, dataset.size, dtype)
-        if opened is None:
-            self._build_sort(dataset, fingerprint)
-            opened = self._require(fingerprint, which, dataset.size, dtype)
-        return opened[0]
-
-    def _build_sort(self, dataset: "Dataset", fingerprint: str) -> None:
-        """External-merge both sort statistics in one pass over the data."""
-        self.counters["sorts_performed"] += 1
-        n = dataset.size
+        opened = self._open(fingerprint, COUNTS_STAT, BUCKETS, np.int64)
+        if opened is not None:
+            return np.array(opened[0])
+        scores = dataset.proxy_scores
+        counts = np.zeros(BUCKETS, dtype=np.int64)
+        for low in range(0, dataset.size, self.chunk_records):
+            chunk = scores[low : low + self.chunk_records]
+            counts += np.bincount(bucket_keys(chunk), minlength=BUCKETS)
         self.directory.mkdir(parents=True, exist_ok=True)
-        tmp_scores = scratch_path(self.directory, "sorted-scores")
-        tmp_order = scratch_path(self.directory, "score-order")
-        tmp_scores2 = scratch_path(self.directory, "scratch-scores")
-        tmp_order2 = scratch_path(self.directory, "scratch-order")
-        scratch_files = [tmp_scores, tmp_order, tmp_scores2, tmp_order2]
+        tmp = scratch_path(self.directory, COUNTS_STAT)
         try:
-            primary = (
-                open_memmap(tmp_scores, mode="w+", dtype=np.float64, shape=(n,)),
-                open_memmap(tmp_order, mode="w+", dtype=np.intp, shape=(n,)),
-            )
-            scratch = (
-                open_memmap(tmp_scores2, mode="w+", dtype=np.float64, shape=(n,)),
-                open_memmap(tmp_order2, mode="w+", dtype=np.intp, shape=(n,)),
-            )
-            external_stable_argsort(
-                dataset.proxy_scores, primary, scratch, self.chunk_records, self.counters
-            )
-            for buf in (*primary, *scratch):
-                buf.flush()
-            del primary, scratch
-            self._finalize(tmp_scores, fingerprint, "sorted-scores", n, np.float64)
-            self._finalize(tmp_order, fingerprint, "score-order", n, np.intp)
+            np.save(tmp, counts)
+            self._finalize(tmp, fingerprint, COUNTS_STAT, BUCKETS, np.int64)
         finally:
-            for leftover in scratch_files:
-                try:
-                    leftover.unlink()
-                except OSError:
-                    pass
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+        return counts
+
+    def _build_order(self, dataset: "Dataset", fingerprint: str) -> None:
+        """Scatter the records to per-bucket cursors in the order file
+        (:func:`scatter_bucket_order`), after the counting pass."""
+        counts = self._bucket_counts(dataset)
+        self.counters["sorts_performed"] += 1
+        self.directory.mkdir(parents=True, exist_ok=True)
+        tmp = scratch_path(self.directory, ORDER_STAT)
+        try:
+            out = open_memmap(tmp, mode="w+", dtype=np.intp, shape=(dataset.size,))
+            scatter_bucket_order(
+                dataset.proxy_scores, counts, out, self.chunk_records, self.counters
+            )
+            out.flush()
+            del out
+            self._finalize(tmp, fingerprint, ORDER_STAT, dataset.size, np.intp)
+        finally:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
     def _build_cdf(
         self,
@@ -845,13 +653,13 @@ class DiskBackend(StatisticsBackend):
 
 def _backend_reads(filename: str) -> bool:
     """Whether a backend or the sample store opens a statistic file of
-    this name: a sort statistic, the zone map, a label column, or the
+    this name: the bucket order or counts, a label column, or the
     inverse CDF of a valid design."""
     match = re.fullmatch(r"stat-.{16}-(.+)\.npy", filename)
     if match is None:
         return False
     name = match[1]
-    if name in ("sorted-scores", "score-order", ZONE_MAP_STAT, LABELS_STAT):
+    if name in (ORDER_STAT, COUNTS_STAT, LABELS_STAT):
         return True
     if not name.startswith("cdf-"):
         return False
@@ -877,7 +685,8 @@ def statistic_entries(directory) -> list[dict[str, object]]:
     missing, of another format version or mismatched — the backend would
     quarantine and rebuild it on access — or a statistic no backend
     reads any more, such as the weight vectors that inverse CDFs
-    replaced).  A readable label column also reports ``known``, the
+    replaced and the sorted scores, stable order and zone map that the
+    bucket index replaced).  A readable label column also reports ``known``, the
     records whose label it holds.
     """
     base = Path(directory).expanduser()

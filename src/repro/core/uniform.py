@@ -23,7 +23,6 @@ import numpy as np
 
 from ..bounds import ConfidenceBound
 from ..datasets import Dataset
-from ..metrics import sorted_distinct
 from ..sampling.designs import LabeledSample, SampleDesign
 from .base import Selector
 from .thresholds import (
@@ -127,7 +126,6 @@ def precision_candidate_scan(
     delta: float,
     bound: ConfidenceBound,
     step: int = DEFAULT_CANDIDATE_STEP,
-    dataset: "Dataset | None" = None,
 ) -> tuple[float, Mapping[str, object]]:
     """The candidate-threshold loop shared by Algorithms 3 and 5.
 
@@ -157,24 +155,10 @@ def precision_candidate_scan(
         bound: confidence-bound method.
         step: candidate spacing ``m``; clamped to the sample size so
             small test budgets still yield at least one candidate.
-        dataset: when given and zone-map indexed, the scan resolves
-            its *dataset-scale* lookups through the index — the grid's
-            candidate thresholds map to the few strata they can cut
-            through (rather than n-record count scans), and the chosen
-            threshold's selection cardinality comes from the
-            cumulative tail counts.  Pure telemetry plus O(log) count
-            lookups: the candidate set, the accept tests, and the
-            returned ``tau`` are unchanged, because each candidate's
-            *statistical* test depends on the sample and the union
-            bound over all ``M`` candidates — dropping grid points
-            would change ``delta / M`` and break bit-identity.
 
     Returns:
         ``(tau, details)`` with the number of candidates examined and
-        accepted in ``details``; zone-mapped datasets additionally
-        report ``candidate_strata`` (distinct strata the candidate
-        grid cuts through) and ``selected_count`` (rows the returned
-        threshold selects, 0 for :data:`SELECT_NOTHING`).
+        accepted in ``details``.
     """
     a = np.asarray(scores, dtype=float)
     o = np.asarray(labels, dtype=float)
@@ -216,18 +200,6 @@ def precision_candidate_scan(
 
     details = {"candidates": num_candidates, "accepted": int(np.count_nonzero(accepted))}
     tau = SELECT_NOTHING if not np.any(accepted) else float(taus[accepted].min())
-
-    zone_map = dataset.zone_map if dataset is not None else None
-    if zone_map is not None:
-        # Map the candidate grid onto the index: each candidate tau can
-        # cut through exactly one stratum, so the distinct boundary
-        # strata bound the dataset-side work any per-candidate lookup
-        # needs.  The chosen tau's selection size is one cumulative
-        # tail-count lookup (O(log K + log S)) instead of an O(n) count.
-        boundary_strata = np.searchsorted(zone_map.highs, taus, side="left")
-        details["candidate_strata"] = int(sorted_distinct(boundary_strata).size)
-        details["selected_count"] = int(dataset.count_above(tau))
-
     return tau, details
 
 
@@ -386,6 +358,5 @@ class UniformCIPrecision(Selector):
             delta=self.query.delta,
             bound=self.bound,
             step=self.step,
-            dataset=dataset,
         )
         return tau, details

@@ -73,11 +73,10 @@ class Dataset:
         if scores.size == 0:
             raise ValueError("a dataset must contain at least one record")
         if np.isnan(scores).any():
-            # NaN compares false against every threshold, so it would be
-            # *silently excluded* by the dense ``>= tau`` path while the
-            # sorted-order (zone-map) path would place it at the end of
-            # the sort and include it — a bit-identity break.  Reject it
-            # loudly instead of choosing either behavior.
+            # NaN compares false against every threshold, so the dense
+            # ``>= tau`` path would *silently exclude* it, while its
+            # bucket key lies past every score's and outside the index.
+            # Reject it loudly instead of choosing either behavior.
             raise ValueError(
                 "proxy scores must not contain NaN; recompute or impute the "
                 "proxy before constructing a Dataset"
@@ -121,10 +120,10 @@ class Dataset:
 
     # ------------------------------------------------------------------
     # Cached statistics.  Every selector trial needs the same derived
-    # arrays — the sorted proxy scores (Algorithm 5's stage-1 cut) and
-    # the inverse CDF of the defensive importance weights (Algorithms
-    # 4-5) — so a Dataset computes each once and reuses it across the
-    # 100+ trials of an experiment cell.  *What* each statistic is
+    # arrays — the score bucket index (every threshold scan and
+    # Algorithm 5's stage-1 cut) and the inverse CDF of the defensive
+    # importance weights (Algorithms 4-5) — so a Dataset computes each
+    # once and reuses it across the 100+ trials of an experiment cell.  *What* each statistic is
     # lives here; *where its bytes live* is the attached :class:`~repro.core.stats_backend.
     # StatisticsBackend` — RAM ndarrays (memory backend) or read-only
     # ``np.memmap`` windows over fingerprint-keyed store files (disk
@@ -173,40 +172,27 @@ class Dataset:
         return digest.hexdigest()
 
     @cached_property
-    def sorted_scores(self) -> np.ndarray:
-        """Proxy scores sorted ascending (cached, read-only).
-
-        Served by the attached backend: an ndarray from ``np.sort``
-        (memory) or a memmap window over the store's external-sort
-        output (disk) — the same values either way.
-        """
-        return self.stats_backend.sorted_scores(self)
-
-    @property
-    def descending_scores(self) -> np.ndarray:
-        """Proxy scores sorted descending (a view of :attr:`sorted_scores`)."""
-        return self.sorted_scores[::-1]
-
-    @cached_property
     def score_order(self) -> np.ndarray:
-        """Stable ``argsort`` of the proxy scores, ascending (cached, read-only).
+        """Record indices in score bucket order (cached, read-only).
 
-        Byte-identical to ``np.argsort(kind="stable")`` whichever
-        backend serves it — the disk backend's external merge preserves
-        tie order exactly.
+        numpy's stable radix ``argsort`` of the ``uint16`` bucket keys
+        (:func:`~repro.core.zonemap.bucket_keys`): each bucket's records
+        are contiguous, in record-index order.  Byte-identical whichever
+        backend serves it — an ndarray (memory) or a memmap over the
+        store's order file (disk).
         """
         return self.stats_backend.score_order(self)
 
     @cached_property
     def zone_map(self):
-        """The dataset's stratified score zone map, or ``None``.
+        """The dataset's score bucket index, or ``None``.
 
         Served once by the attached backend for datasets of at least
-        :data:`~repro.core.zonemap.MIN_INDEXED_SIZE` records: built from
-        :attr:`sorted_scores` (memory), or read from the store's warm
-        statistic file without sorting (disk).  Smaller datasets return
-        ``None`` and every threshold lookup stays on the dense path.
-        See :mod:`repro.core.zonemap`.
+        :data:`~repro.core.zonemap.MIN_INDEXED_SIZE` records: counted
+        from the scores (memory), or read from the store's warm
+        statistic file (disk).  Smaller datasets return ``None`` and
+        every threshold lookup stays on the dense path.  See
+        :mod:`repro.core.zonemap`.
         """
         from ..core.zonemap import MIN_INDEXED_SIZE
 
@@ -214,7 +200,7 @@ class Dataset:
             return None
         return self.stats_backend.zone_map(self)
 
-    def build_zone_map(self, stratum_size: int | None = None):
+    def build_zone_map(self):
         """Force-build (and cache) a zone map, bypassing the size gate.
 
         Tests and micro-benchmarks use this to exercise the indexed
@@ -223,7 +209,7 @@ class Dataset:
         """
         from ..core.zonemap import ScoreZoneMap
 
-        zone_map = ScoreZoneMap.build(self.sorted_scores, stratum_size=stratum_size)
+        zone_map = ScoreZoneMap.build(self.proxy_scores)
         zone_map.counters = self.stats_backend.counters
         self.__dict__["zone_map"] = zone_map
         return zone_map
@@ -249,51 +235,50 @@ class Dataset:
         """Compute the statistics fork workers read, before they fork.
 
         Fan-outs call this in the parent so every worker inherits one
-        copy of the sorted scores, the score order, the zone map and
-        every CDF drawn from so far — in-memory arrays as copy-on-write
-        pages, disk statistics as memmaps over the store's files —
-        instead of each worker rebuilding them.  Returns how many cached
-        statistics are file-backed (``np.memmap``), i.e. shared through
-        the page cache.
+        copy of the zone map, the bucket order (indexed datasets only:
+        nothing else reads it) and every CDF drawn from so far —
+        in-memory arrays as copy-on-write pages, disk statistics as
+        memmaps over the store's files — instead of each worker
+        rebuilding them.  Returns how many cached statistics are
+        file-backed (``np.memmap``), i.e. shared through the page cache.
         """
-        statistics = [self.sorted_scores, self.score_order]
-        statistics.extend(stat.cdf for stat in self.__dict__.get("_cdf_cache", {}).values())
-        self.zone_map  # built, or read from its statistic file, in the parent
+        statistics = [stat.cdf for stat in self.__dict__.get("_cdf_cache", {}).values()]
+        if self.zone_map is not None:
+            statistics.append(self.score_order)
         return sum(isinstance(array, np.memmap) for array in statistics)
 
     def select_above(self, tau: float) -> np.ndarray:
         """Indices of ``D(tau) = {x : A(x) >= tau}``, ascending.
 
-        Large datasets resolve ``tau`` through the zone map — binary
-        search over stratum bounds plus at most one boundary stratum,
-        then the cumulative tail of :attr:`score_order` — touching
-        O(selected) records instead of all n.  Byte-identical to the
-        dense ``np.flatnonzero`` scan, which remains the path for small
-        datasets and near-total selections.  Under a paged (disk)
-        backend the scan goes through
-        :meth:`~repro.core.zonemap.ScoreZoneMap.select_above_paged`
-        instead — same bytes out, but only the boundary stratum and the
-        selected tail are ever faulted in from the statistic files.
+        Large datasets resolve ``tau`` through the zone map: the bucket
+        order's run of every bucket above tau's, plus tau's own bucket
+        filtered by score, touching O(selected) records instead of all
+        n.  Byte-identical to the dense ``np.flatnonzero`` scan, which
+        remains the path for small datasets and, in RAM, for near-total
+        selections.  Under a paged (disk) backend only the buckets the
+        tau reaches are ever read from the order file.
         """
         zone_map = self.zone_map
         if zone_map is None:
             return np.flatnonzero(self.proxy_scores >= tau)
-        if self.stats_backend.paged:
-            return zone_map.select_above_paged(tau, self.sorted_scores, self.score_order)
         return zone_map.select_above(
-            tau, self.sorted_scores, self.score_order, self.proxy_scores
+            tau, self.score_order, self.proxy_scores, self.stats_backend.paged
         )
 
-    def count_above(self, tau: float) -> int:
-        """``|D(tau)|`` without materializing it.
+    def score_at_rank(self, rank: int) -> float:
+        """The ``rank``-th largest proxy score (``rank`` from 1).
 
-        O(log strata) through the zone map's cumulative counts; the
-        dense count for unindexed datasets.
+        Through the zone map (one ``np.partition`` inside one bucket)
+        when the dataset has one, else one ``np.partition`` of all the
+        scores.  A zero comes back as ``+0.0``, whatever its sign bit.
         """
         zone_map = self.zone_map
-        if zone_map is None:
-            return int(np.count_nonzero(self.proxy_scores >= tau))
-        return zone_map.count_above(tau, self.sorted_scores)
+        if zone_map is not None:
+            return zone_map.score_at_rank(rank, self.score_order, self.proxy_scores)
+        position = self.size - int(rank)
+        if not 0 <= position < self.size:
+            raise ValueError(f"rank must be in [1, {self.size}], got {rank}")
+        return float(np.partition(self.proxy_scores, position)[position]) + 0.0
 
     def subset(self, indices: np.ndarray, name: str | None = None) -> "Dataset":
         """A new dataset restricted to ``indices`` (order preserved)."""

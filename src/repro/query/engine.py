@@ -168,7 +168,7 @@ class SupgEngine:
             ``store_dir``.  Query results are byte-identical across
             backends.
         chunk_records: records per chunk for the disk backend's
-            external sort and streaming weight passes (default
+            streaming index build and weight passes (default
             :data:`~repro.core.stats_backend.DEFAULT_CHUNK_RECORDS`).
             Only meaningful with ``backend="disk"``.
 

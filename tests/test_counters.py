@@ -115,7 +115,7 @@ def test_zone_map_counts_survive_reregistration():
         for gamma in (80, 90):
             engine.execute(RT.format(gamma=gamma), seed=0)
     stats = engine.session_stats()
-    assert stats["sorts_performed"] == 6
+    assert stats["sorts_performed"] == 3
     assert stats["zonemap_selects"] == 6
 
 

@@ -1,7 +1,7 @@
 """Cached dataset statistics: correctness, identity, and invalidation.
 
-Covers the satellite guarantees of the perf PR: the cached descending
-sort must leave ``IS-CI-P``'s stage-1 cut (``tau_min``) unchanged, the
+Covers the satellite guarantees of the perf PR: the cached score index
+must leave ``IS-CI-P``'s stage-1 cut (``tau_min``) unchanged, the
 draw-statistic cache must hold exactly the table ``rng.choice`` builds
 from the ``proxy_sampling_weights`` output, and derived datasets (``subset``/``with_scores``) must never observe a
 stale cache.
@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.importance import ImportanceCIPrecisionOneStage, ImportanceCIPrecisionTwoStage
 from repro.core.types import ApproxQuery
+from repro.core.zonemap import bucket_keys
 from repro.datasets import Dataset, make_beta_dataset
 from repro.sampling import DEFAULT_EXPONENT, DEFAULT_MIXING, proxy_sampling_weights
 
@@ -26,37 +27,42 @@ def workload():
 
 
 class TestSortedScoreCache:
+    """The cached statistics that replace a full sort: the bucket order
+    and the order statistics read through it."""
+
     def test_matches_full_sort(self, workload):
-        np.testing.assert_array_equal(
-            workload.sorted_scores, np.sort(workload.proxy_scores)
-        )
-        np.testing.assert_array_equal(
-            workload.descending_scores, np.sort(workload.proxy_scores)[::-1]
-        )
+        descending = np.sort(workload.proxy_scores)[::-1]
+        forced = workload.subset(np.arange(workload.size))
+        forced.build_zone_map()
+        for rank in (1, 2, 17, 1000, workload.size // 2, workload.size):
+            assert workload.score_at_rank(rank) == descending[rank - 1]  # dense
+            assert forced.score_at_rank(rank) == descending[rank - 1]  # indexed
 
     def test_cached_identity(self, workload):
-        assert workload.sorted_scores is workload.sorted_scores
         assert workload.score_order is workload.score_order
+        assert workload.zone_map is workload.zone_map
 
     def test_read_only(self, workload):
         with pytest.raises(ValueError):
-            workload.sorted_scores[0] = 0.5
-        with pytest.raises(ValueError):
-            workload.descending_scores[0] = 0.5
+            workload.score_order[0] = 0
 
     def test_score_order_sorts(self, workload):
+        keys = bucket_keys(workload.proxy_scores)
         np.testing.assert_array_equal(
-            workload.proxy_scores[workload.score_order], workload.sorted_scores
+            workload.score_order, np.argsort(keys, kind="stable")
         )
+        assert np.all(np.diff(keys[workload.score_order].astype(int)) >= 0)
 
     def test_derived_datasets_get_fresh_caches(self, workload):
-        _ = workload.sorted_scores  # warm the parent cache
+        _ = workload.score_order  # warm the parent cache
         shuffled = workload.with_scores(workload.proxy_scores[::-1].copy())
         np.testing.assert_array_equal(
-            shuffled.sorted_scores, np.sort(shuffled.proxy_scores)
+            shuffled.score_order,
+            np.argsort(bucket_keys(shuffled.proxy_scores), kind="stable"),
         )
         subset = workload.subset(np.arange(10))
-        assert subset.sorted_scores.size == 10
+        assert subset.score_order.size == 10
+        assert subset.score_at_rank(1) == workload.proxy_scores[:10].max()
 
 
 def reference_cdf(weights):
@@ -92,8 +98,9 @@ class TestWeightCache:
 class TestTwoStageTauMin:
     def test_tau_min_unchanged_by_cached_sort(self, workload):
         """The stage-1 cut must equal the order statistic a fresh full
-        sort produces — the satellite regression check for replacing
-        the per-trial ``np.sort`` with the cached sort."""
+        sort produces — the regression check for replacing the
+        per-trial ``np.sort``, first with a cached sort and then with
+        the score index."""
         query = ApproxQuery.precision_target(gamma=0.9, delta=0.05, budget=1_000)
         for seed in range(5):
             result = ImportanceCIPrecisionTwoStage(query).select(workload, seed=seed)
@@ -130,10 +137,10 @@ class TestCacheSemantics:
             labels=np.array([1, 0, 1]),
             name="t",
         )
-        _ = dataset.sorted_scores
+        _ = dataset.score_order
         statistic = dataset.sampling_cdf(0.5, 0.1)
         clone = pickle.loads(pickle.dumps(dataset))
-        np.testing.assert_array_equal(clone.sorted_scores, dataset.sorted_scores)
+        np.testing.assert_array_equal(clone.__dict__["score_order"], dataset.score_order)
         cloned = clone.__dict__["_cdf_cache"][(0.5, 0.1)]  # carried, not rebuilt
         assert cloned.cdf.tobytes() == statistic.cdf.tobytes()
         assert (cloned.score_total, cloned.weight_total) == (

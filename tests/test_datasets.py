@@ -43,14 +43,10 @@ class TestDatasetContainer:
         np.testing.assert_array_equal(tiny_dataset.select_above(0.75), [0, 1, 2])
         np.testing.assert_array_equal(tiny_dataset.select_above(0.05), np.arange(10))
 
-    def test_count_above_matches_selection(self, tiny_dataset):
-        for tau in (0.0, 0.05, 0.3, 0.75, 0.951, SELECT_NOTHING, SELECT_EVERYTHING):
-            assert tiny_dataset.count_above(tau) == tiny_dataset.select_above(tau).size
-
     def test_nan_scores_rejected(self):
         # NaN would silently break dense/indexed select equivalence
-        # (compares false against every tau, sorts to the end), so the
-        # container refuses it up front.
+        # (compares false against every tau, keys outside the index),
+        # so the container refuses it up front.
         with pytest.raises(ValueError, match="NaN"):
             Dataset(
                 proxy_scores=np.array([0.2, np.nan, 0.8]),

@@ -1,8 +1,8 @@
 """Statistics-backend tests: the bit-identity contract across providers.
 
-The disk backend's external merge sort, streaming CDF passes, and
+The disk backend's chunked index build, streaming CDF passes, and
 paged threshold scans must be *byte-identical* to the in-memory path —
-every sorted array, every draw statistic, every selection, every query
+every bucket order, every draw statistic, every selection, every query
 result.  These tests pin that contract at three layers: the chunked
 primitives against their numpy references, ``Dataset`` statistics
 across backends, and full engine executions (including ``jobs > 1``
@@ -18,22 +18,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import repro
+from repro.core import stats_backend
 from repro.core.stats_backend import (
-    DEFAULT_CHUNK_RECORDS,
+    COUNTS_STAT,
+    LABELS_STAT,
+    ORDER_STAT,
     DiskBackend,
     InMemoryBackend,
     cdf_stat_name,
-    chunked_argsort,
     chunked_pairwise_sum,
-    stable_argsort,
+    finalize_statistic,
+    scatter_bucket_order,
     statistic_entries,
 )
 from repro.core.pipeline import SampleStore
-from repro.core.zonemap import MIN_INDEXED_SIZE, ScoreZoneMap
+from repro.core.zonemap import BUCKETS, MIN_INDEXED_SIZE, bucket_keys
 from repro.datasets import Dataset, make_beta_dataset
 from repro.faults import FaultPlan, corrupt_statistic, inject
 from repro.query import SupgEngine
@@ -58,7 +59,7 @@ def make_dataset(size=MIN_INDEXED_SIZE, seed=3):
 
 
 def _no_build(*args, **kwargs):
-    raise AssertionError("a warm zone-map file must be read, not rebuilt")
+    raise AssertionError("a warm statistic file must be read, not rebuilt")
 
 
 def _cdf_bytes(statistic):
@@ -74,99 +75,66 @@ def _reference_cdf(weights):
     return cdf
 
 
-def _map_bytes(zone_map):
-    return [
-        getattr(zone_map, name).tobytes()
-        for name in ("offsets", "lows", "highs", "score_mass")
-    ]
+def _reference_order(values):
+    """The bucket order: the stable argsort of the bucket keys."""
+    return np.argsort(bucket_keys(values), kind="stable")
 
 
 # ----------------------------------------------------------------------
-# Stable argsort and the chunked external sort: pins against
-# np.argsort(kind="stable").
+# The chunked bucket order: pins against the stable argsort of the keys.
 # ----------------------------------------------------------------------
-
-#: Values that tie or sort in special ways: signed zeros, infinities, NaN.
-SPECIAL_VALUES = [-0.0, 0.0, np.inf, -np.inf, np.nan, 0.5, 1.0]
-
-
-@st.composite
-def tied_arrays(draw):
-    """0 to ~2k floats: uniform randoms with a drawn share of them
-    replaced from a pool of up to 8 values (specials and arbitrary
-    floats), so runs of ties range from none to all-equal."""
-    n = draw(st.integers(0, 2100))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.random(n)
-    pool = draw(st.lists(st.sampled_from(SPECIAL_VALUES) | st.floats(), max_size=8))
-    if pool:
-        share = draw(st.sampled_from([0.05, 0.5, 0.95, 1.0]))
-        tied = rng.random(n) < share
-        values[tied] = rng.choice(np.array(pool, dtype=float), size=int(tied.sum()))
-    return values
-
-
-@settings(max_examples=150, deadline=None)
-@given(values=tied_arrays() | st.lists(st.sampled_from(SPECIAL_VALUES), max_size=3).map(np.array))
-@example(values=np.array([], dtype=float))
-@example(values=np.full(1000, 0.25))
-@example(values=np.array([0.0, -0.0, 0.0, -0.0, 1.0, -0.0]))
-@example(values=np.array([np.nan, 1.0, np.nan, -np.inf, np.inf, np.nan, np.inf]))
-def test_stable_argsort_matches_numpy_stable_in_bytes(values):
-    values = np.asarray(values, dtype=float)
-    want = np.argsort(values, kind="stable")
-    for ranked in (None, np.sort(values), values[want]):
-        got = stable_argsort(values, ranked)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
 
 
 class TestChunkedArgsort:
+    """The disk backend's chunked build of the bucket order: each chunk
+    radix-sorted and scattered to per-bucket cursors, byte-identical to
+    one stable argsort of all the keys at every chunk size."""
+
+    @staticmethod
+    def chunked(values, chunk):
+        counts = np.bincount(bucket_keys(values), minlength=BUCKETS)
+        out = np.empty(values.size, dtype=np.intp)
+        return scatter_bucket_order(values, counts, out, chunk)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000, 4097])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 17, 100, 10**6])
     def test_byte_identity_random_with_ties(self, n, chunk):
         rng = np.random.default_rng(n * 1000 + chunk)
         values = rng.random(n)
         values[rng.random(n) < 0.3] = 0.5  # heavy tie mass
-        sorted_values, order = chunked_argsort(values, chunk)
-        ref_order = np.argsort(values, kind="stable")
+        order = self.chunked(values, chunk)
+        ref_order = _reference_order(values)
         assert order.tobytes() == ref_order.tobytes()
         assert order.dtype == ref_order.dtype
-        assert sorted_values.tobytes() == values[ref_order].tobytes()
-
-    @pytest.mark.parametrize("chunk", [1, 3, 64, 10**6])
-    def test_infinity_sentinels(self, chunk):
-        rng = np.random.default_rng(0)
-        values = rng.random(257)
-        values[::5] = np.inf
-        values[1::7] = -np.inf
-        _, order = chunked_argsort(values, chunk)
-        assert order.tobytes() == np.argsort(values, kind="stable").tobytes()
 
     @pytest.mark.parametrize("chunk", [1, 3, 17, 10**6])
-    @pytest.mark.parametrize("pool", [[-0.0, 0.0, 0.5], [np.nan, -0.0, 0.0, 1.0]],
-                             ids=["signed-zeros", "nan"])
-    def test_mixed_signed_zeros_and_nan(self, chunk, pool):
-        values = np.random.default_rng(chunk).choice(pool, size=301)
-        sorted_values, order = chunked_argsort(values, chunk)
-        ref_order = np.argsort(values, kind="stable")
-        assert order.tobytes() == ref_order.tobytes()
-        assert sorted_values.tobytes() == values[ref_order].tobytes()
+    def test_mixed_signed_zeros(self, chunk):
+        values = np.random.default_rng(chunk).choice([-0.0, 0.0, 0.5, 5e-324], size=301)
+        order = self.chunked(values, chunk)
+        assert order.tobytes() == _reference_order(values).tobytes()
 
     def test_all_equal(self):
         values = np.full(513, 0.25)
-        _, order = chunked_argsort(values, 19)
+        order = self.chunked(values, 19)
         assert order.tobytes() == np.arange(513, dtype=np.intp).tobytes()
 
     def test_chunk_larger_than_input_is_plain_argsort(self):
         values = np.random.default_rng(1).random(100)
-        _, order = chunked_argsort(values, 10**6)
-        assert order.tobytes() == np.argsort(values, kind="stable").tobytes()
+        order = self.chunked(values, 10**6)
+        assert order.tobytes() == _reference_order(values).tobytes()
 
     def test_single_record_chunks(self):
         values = np.random.default_rng(2).random(73)
-        _, order = chunked_argsort(values, 1)
-        assert order.tobytes() == np.argsort(values, kind="stable").tobytes()
+        order = self.chunked(values, 1)
+        assert order.tobytes() == _reference_order(values).tobytes()
+
+    def test_counts_merged_chunk_runs(self):
+        values = np.random.default_rng(3).random(1000)
+        counters = {"chunks_merged": 0, "peak_chunk_bytes": 0}
+        counts = np.bincount(bucket_keys(values), minlength=BUCKETS)
+        scatter_bucket_order(values, counts, np.empty(1000, dtype=np.intp), 300, counters)
+        assert counters["chunks_merged"] == 4
+        assert 0 < counters["peak_chunk_bytes"] < values.nbytes
 
 
 class TestChunkedPairwiseSum:
@@ -184,13 +152,16 @@ class TestChunkedPairwiseSum:
 
 
 class TestBackendParity:
-    def test_sorted_scores_and_order_bitwise(self, tmp_path):
-        data = make_dataset(size=50000)
-        disk = DiskBackend(tmp_path, chunk_records=7001)
-        memory = InMemoryBackend()
-        assert disk.sorted_scores(data).tobytes() == memory.sorted_scores(data).tobytes()
-        assert disk.score_order(data).tobytes() == memory.score_order(data).tobytes()
-        assert disk.score_order(data).dtype == memory.score_order(data).dtype
+    @pytest.mark.parametrize("chunk", [1, 3, 4097, 5001])
+    def test_score_order_bitwise_at_chunk_edges(self, tmp_path, chunk):
+        """Chunks of one record, a few, many, and more than n records."""
+        data = make_dataset(size=5000)
+        disk = DiskBackend(tmp_path, chunk_records=chunk)
+        memory = InMemoryBackend().score_order(data)
+        assert memory.tobytes() == _reference_order(data.proxy_scores).tobytes()
+        assert disk.score_order(data).tobytes() == memory.tobytes()
+        assert disk.score_order(data).dtype == memory.dtype
+        assert disk.counters["chunks_merged"] == -(-data.size // chunk)
 
     @pytest.mark.parametrize("exponent,mixing", WEIGHT_DESIGNS)
     def test_weights_bitwise(self, tmp_path, exponent, mixing):
@@ -246,9 +217,9 @@ class TestBackendParity:
     def test_views_are_readonly_memmaps(self, tmp_path):
         data = make_dataset()
         data.use_backend(DiskBackend(tmp_path, chunk_records=4096))
-        assert isinstance(data.sorted_scores, np.memmap)
-        assert not data.sorted_scores.flags.writeable
-        assert data.sorted_scores is data.sorted_scores  # cached_property memoized
+        assert isinstance(data.score_order, np.memmap)
+        assert not data.score_order.flags.writeable
+        assert data.score_order is data.score_order  # cached_property memoized
         statistic = data.sampling_cdf(0.5, 0.1)
         assert isinstance(statistic.cdf, np.memmap)
         assert not statistic.cdf.flags.writeable
@@ -258,35 +229,35 @@ class TestBackendParity:
         data = make_dataset(size=40000)
         first = DiskBackend(tmp_path, chunk_records=8192)
         data.use_backend(first)
-        data.sorted_scores
+        data.score_order
         data.sampling_cdf(0.5, 0.1)
         data.zone_map
         assert first.counters["sorts_performed"] == 1
         assert first.counters["weight_passes"] == 1
         # Fresh dataset object + fresh backend over the same directory:
         # everything is served from the warm files, zero construction.
-        monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
+        monkeypatch.setattr(stats_backend, "bucket_keys", _no_build)
+        monkeypatch.setattr(stats_backend, "scatter_bucket_order", _no_build)
         clone = make_dataset(size=40000)
         warm = DiskBackend(tmp_path, chunk_records=8192)
         clone.use_backend(warm)
-        assert clone.sorted_scores.tobytes() == data.sorted_scores.tobytes()
         assert clone.score_order.tobytes() == data.score_order.tobytes()
         assert _cdf_bytes(clone.sampling_cdf(0.5, 0.1)) == _cdf_bytes(data.sampling_cdf(0.5, 0.1))
-        assert _map_bytes(clone.zone_map) == _map_bytes(data.zone_map)
+        assert clone.zone_map.counts.tobytes() == data.zone_map.counts.tobytes()
         assert warm.counters["sorts_performed"] == 0
         assert warm.counters["weight_passes"] == 0
 
-    def test_select_and_count_above_paged_parity(self, tmp_path):
+    def test_select_above_paged_parity(self, tmp_path):
         data = make_dataset()
         dense = make_dataset()
         data.use_backend(DiskBackend(tmp_path, chunk_records=4096))
+        ascending = np.sort(dense.proxy_scores)
         for frac in (0.0005, 0.01, 0.2, 0.9):
-            tau = float(data.sorted_scores[int(data.size * (1 - frac))])
+            tau = float(ascending[int(data.size * (1 - frac))])
             expected = np.flatnonzero(dense.proxy_scores >= tau)
             got = data.select_above(tau)
             assert got.tobytes() == expected.tobytes()
             assert got.dtype == expected.dtype
-            assert data.count_above(tau) == expected.size
         # Empty and total selections.
         assert data.select_above(np.inf).size == 0
         assert data.select_above(0.0).tobytes() == np.arange(data.size, dtype=np.intp).tobytes()
@@ -295,7 +266,7 @@ class TestBackendParity:
         data = make_dataset()
         backend = DiskBackend(tmp_path, chunk_records=4096)
         data.use_backend(backend)
-        tau = float(data.sorted_scores[int(data.size * 0.999)])
+        tau = float(np.sort(data.proxy_scores)[int(data.size * 0.999)])
         assert backend.counters["bytes_paged"] == 0
         data.select_above(tau)
         paged = backend.counters["bytes_paged"]
@@ -315,16 +286,21 @@ def _has_vm_hwm() -> bool:
         return False
 
 
-#: A fresh interpreter opens the sort files as memmaps, reads the zone
-#: map through the disk backend, runs paged scans, and reports the growth
-#: of its own resident high-water mark.  ``VmHWM`` belongs to the new
-#: process image, whereas ``ru_maxrss`` carries the parent's peak across
-#: fork and exec and so reads no growth whatever the scans allocate.
+#: A fresh interpreter holds the score column in RAM, as a ``Dataset``
+#: does, maps the bucket order file, reads the zone map through the disk
+#: backend, runs paged scans, and reports the growth of its own resident
+#: high-water mark.  ``VmHWM`` belongs to the new process image, whereas
+#: ``ru_maxrss`` carries the parent's peak across fork and exec and so
+#: reads no growth whatever the scans allocate.  The column is loaded
+#: before the baseline: a mapped column would count too, because the
+#: boundary bucket's records lie scattered over it and the kernel maps
+#: the cached pages around each one it reads (8.5 MB of an 8 MB column
+#: at 1M records, none of it allocated).
 _PAGED_SCAN_CHILD = """\
 import hashlib, json, sys
 from types import SimpleNamespace
 import numpy as np
-from repro.core.stats_backend import DiskBackend
+from repro.core.stats_backend import ORDER_STAT, DiskBackend
 
 def vm_hwm_kib():
     with open("/proc/self/status") as handle:
@@ -332,17 +308,16 @@ def vm_hwm_kib():
             if line.startswith("VmHWM:"):
                 return int(line.split()[1])
 
-store, fingerprint, size = sys.argv[1], sys.argv[2], int(sys.argv[3])
+store, fingerprint, scores_path = sys.argv[1:4]
 backend = DiskBackend(store)
+scores = np.load(scores_path)
 baseline_kib = vm_hwm_kib()
-sorted_scores = np.load(backend.stat_path(fingerprint, "sorted-scores"), mmap_mode="r")
-score_order = np.load(backend.stat_path(fingerprint, "score-order"), mmap_mode="r")
-# No scores in this process: a warm zone-map file needs only the
-# fingerprint and the record count.
-zone_map = backend.zone_map(SimpleNamespace(fingerprint=fingerprint, size=size))
+order = np.load(backend.stat_path(fingerprint, ORDER_STAT), mmap_mode="r")
+# A warm counts file needs only the fingerprint.
+zone_map = backend.zone_map(SimpleNamespace(fingerprint=fingerprint, size=scores.size))
 digests = []
 for tau in map(float, sys.argv[4:]):
-    selection = zone_map.select_above_paged(tau, sorted_scores, score_order)
+    selection = zone_map.select_above(tau, order, scores, paged=True)
     digests.append(hashlib.sha256(selection.tobytes()).hexdigest())
 print(json.dumps({"growth_kib": vm_hwm_kib() - baseline_kib,
                   "bytes_paged": backend.counters["bytes_paged"], "digests": digests}))
@@ -418,16 +393,18 @@ class TestBoundedMemory:
         size = 1_000_000
         data = make_dataset(size=size)
         data.use_backend(DiskBackend(tmp_path, chunk_records=1 << 18))
-        assert data.zone_map is not None  # writes the sort and zone-map files
+        data.score_order  # writes the bucket order and counts files
         footprint = sum(entry["bytes"] for entry in statistic_entries(tmp_path))
-        taus = [float(data.sorted_scores[int(size * (1 - frac))]) for frac in (0.001, 0.01)]
+        np.save(tmp_path / "scores.npy", data.proxy_scores)
+        ascending = np.sort(data.proxy_scores)
+        taus = [float(ascending[int(size * (1 - frac))]) for frac in (0.001, 0.01)]
         expected = [
             hashlib.sha256(np.flatnonzero(data.proxy_scores >= tau).tobytes()).hexdigest()
             for tau in taus
         ]
         child = subprocess.run(
             [sys.executable, "-c", _PAGED_SCAN_CHILD, str(tmp_path), data.fingerprint,
-             str(size), *map(repr, taus)],
+             str(tmp_path / "scores.npy"), *map(repr, taus)],
             capture_output=True, text=True, timeout=120,
             env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])},
         )
@@ -448,17 +425,16 @@ class TestCorruptionRecovery:
     def test_quarantine_and_rebuild(self, tmp_path, mode):
         data = make_dataset(size=40000)
         first = DiskBackend(tmp_path, chunk_records=8192)
-        first.sorted_scores(data)
-        reference = np.sort(data.proxy_scores).tobytes()
-        reference_map = _map_bytes(first.zone_map(data))
-        # Files sort as score-order, sorted-scores, zone-map.
-        corrupted = [corrupt_statistic(tmp_path, which=which, mode=mode) for which in (1, 2)]
-        assert "sorted-scores" in corrupted[0].name
-        assert "zone-map" in corrupted[1].name
+        reference = first.score_order(data).tobytes()
+        reference_counts = first.zone_map(data).counts.tobytes()
+        # Files sort as bucket-counts, bucket-order.
+        corrupted = [corrupt_statistic(tmp_path, which=which, mode=mode) for which in (0, 1)]
+        assert COUNTS_STAT in corrupted[0].name
+        assert ORDER_STAT in corrupted[1].name
         backend = DiskBackend(tmp_path, chunk_records=8192)
         clone = make_dataset(size=40000).use_backend(backend)
-        assert clone.sorted_scores.tobytes() == reference
-        assert _map_bytes(clone.zone_map) == reference_map
+        assert clone.score_order.tobytes() == reference
+        assert clone.zone_map.counts.tobytes() == reference_counts
         assert backend.counters["stats_quarantined"] == 2
         assert backend.counters["sorts_performed"] == 1
         quarantine = tmp_path / "quarantine"
@@ -470,15 +446,15 @@ class TestCorruptionRecovery:
     def test_stale_fingerprint_is_quarantined(self, tmp_path):
         data = make_dataset(size=40000)
         backend = DiskBackend(tmp_path, chunk_records=8192)
-        backend.sorted_scores(data)
+        backend.score_order(data)
         # Forge the metadata to claim a different dataset.
-        path = backend.stat_path(data.fingerprint, "sorted-scores")
+        path = backend.stat_path(data.fingerprint, ORDER_STAT)
         meta_path = path.with_name(path.name + ".meta.json")
         meta = json.loads(meta_path.read_text())
         meta["fingerprint"] = "f" * 64
         meta_path.write_text(json.dumps(meta))
         fresh = DiskBackend(tmp_path, chunk_records=8192)
-        fresh.sorted_scores(make_dataset(size=40000))
+        fresh.score_order(make_dataset(size=40000))
         assert fresh.counters["stats_quarantined"] == 1
 
     @pytest.mark.parametrize("forged", [None, "NaN", -1.0, "0.5"])
@@ -502,13 +478,13 @@ class TestCorruptionRecovery:
     def test_statistic_entries_reports_warm_and_stale(self, tmp_path):
         data = make_dataset(size=40000)
         backend = DiskBackend(tmp_path, chunk_records=8192)
-        backend.sorted_scores(data)
+        backend.score_order(data)
         backend.sampling_weights(data, 0.5, 0.1)
         entries = statistic_entries(tmp_path)
         assert len(entries) == 3
         assert all(entry["state"] == "warm" for entry in entries)
         names = {entry["stat"] for entry in entries}
-        assert names == {"sorted-scores", "score-order", cdf_stat_name(0.5, 0.1)}
+        assert names == {COUNTS_STAT, ORDER_STAT, cdf_stat_name(0.5, 0.1)}
         assert cdf_stat_name(0.5, 0.1) == "cdf-0.5-0.1"
         assert any(entry["file"].endswith("-cdf-0.5-0.1.npy") for entry in entries)
         assert all(entry["fingerprint"] == data.fingerprint for entry in entries)
@@ -534,8 +510,8 @@ class TestCorruptionRecovery:
     def test_clear_disk_removes_statistic_files(self, tmp_path):
         data = make_dataset(size=40000)
         backend = DiskBackend(tmp_path, chunk_records=8192)
-        backend.sorted_scores(data)
-        corrupt_statistic(tmp_path, which=0, mode="garbage")
+        backend.score_order(data)
+        corrupt_statistic(tmp_path, which=1, mode="garbage")
         DiskBackend(tmp_path).score_order(data)  # quarantines the garbage file
         summary = SampleStore.clear_disk(tmp_path)
         assert summary["files_removed"] > 0
@@ -543,6 +519,60 @@ class TestCorruptionRecovery:
             p for p in tmp_path.rglob("*") if p.is_file()
         ]
         assert leftovers == []
+
+
+class TestParentEraStore:
+    """A store directory written before the bucket index holds
+    ``sorted-scores``, ``score-order`` and ``zone-map`` files with valid
+    sidecars.  No backend opens them (a ``score-order`` file has the
+    right length and dtype, but another order), while the label column
+    and the CDFs, of the same format version, stay warm."""
+
+    def test_builds_the_index_and_keeps_the_label_column(self, tmp_path):
+        data = make_dataset()
+        queries = (RT.format(gamma=90), PT)
+        cold = SupgEngine(store_dir=str(tmp_path), backend="disk")
+        cold.register_table("t", data)
+        for query in queries:
+            cold.execute(query, seed=2)
+        # Swap the index files for the ones the sort-based backend wrote.
+        for name in (ORDER_STAT, COUNTS_STAT):
+            path = cold.stats_backend.stat_path(data.fingerprint, name)
+            path.unlink()
+            path.with_name(path.name + ".meta.json").unlink()
+        parent_era = {
+            "sorted-scores": np.sort(data.proxy_scores),
+            "score-order": np.argsort(data.proxy_scores, kind="stable"),
+            "zone-map": np.zeros(3 * -(-data.size // 8192)),
+        }
+        for name, array in parent_era.items():
+            tmp = tmp_path / f".forged-{name}.npy"
+            np.save(tmp, array)
+            final = cold.stats_backend.stat_path(data.fingerprint, name)
+            finalize_statistic(tmp, final, data.fingerprint, name, array.size, array.dtype)
+        (known,) = [e["known"] for e in statistic_entries(tmp_path) if e["stat"] == LABELS_STAT]
+
+        memory = SupgEngine()
+        memory.register_table("t", make_dataset())
+        warm = SupgEngine(store_dir=str(tmp_path), backend="disk")
+        warm.register_table("t", make_dataset())
+        for query in queries:
+            want = memory.execute(query, seed=2).result
+            got = warm.execute(query, seed=2).result
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert (got.tau, got.oracle_calls) == (want.tau, want.oracle_calls)
+        stats = warm.session_stats()
+        assert stats["sorts_performed"] == 1
+        assert stats["weight_passes"] == 0
+        assert stats["labels_drawn"] == 0
+        assert stats["stats_quarantined"] == 0
+        entries = {entry["stat"]: entry for entry in statistic_entries(tmp_path)}
+        assert {name: entries[name]["state"] for name in parent_era} == dict.fromkeys(
+            parent_era, "stale"
+        )
+        assert entries[ORDER_STAT]["state"] == entries[COUNTS_STAT]["state"] == "warm"
+        assert entries[LABELS_STAT]["state"] == "warm"
+        assert entries[LABELS_STAT]["known"] == known > 0
 
 
 # ----------------------------------------------------------------------
@@ -606,16 +636,15 @@ class TestEngineIntegration:
         stats = parallel_engine.session_stats()
         assert stats["stats_inherited"] > 0
         assert stats["bytes_shipped"] > 0
-        assert isinstance(data.sorted_scores, np.memmap)
         assert isinstance(data.score_order, np.memmap)
 
     def test_lazy_priming_zero_redundant_sorts(self, tmp_path, monkeypatch):
         """A warm store costs zero sorts, weight passes and index builds.
 
-        First session pays one sort (plus the index build); a second
-        session over the same store dir answers an RT and a PT query
-        without ever sorting or building — the statistic files serve
-        the sorted arrays, the weights and the zone map.
+        First session pays one index build; a second session over the
+        same store dir answers an RT and a PT query without ever
+        keying a score — the statistic files serve the bucket order,
+        the counts and the weights.
         """
         first = SupgEngine(store_dir=str(tmp_path), backend="disk")
         data = make_dataset()
@@ -627,7 +656,7 @@ class TestEngineIntegration:
         queries = (RT.format(gamma=90), PT)
         baseline = [first.execute(query, seed=2) for query in queries]
         assert first.session_stats()["sorts_performed"] == 1
-        monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
+        monkeypatch.setattr(stats_backend, "bucket_keys", _no_build)
         second = SupgEngine(store_dir=str(tmp_path), backend="disk")
         second.register_table("t", make_dataset())
         warm = [second.execute(query, seed=2) for query in queries]
@@ -650,7 +679,7 @@ class TestEngineIntegration:
         engine_b.execute(RT.format(gamma=90), seed=0)
         assert list(store_a.rglob("*")) == []
         assert {entry["stat"] for entry in statistic_entries(store_b)} >= {
-            "sorted-scores", "score-order", "zone-map"
+            ORDER_STAT, COUNTS_STAT
         }
 
     def test_session_stats_carry_backend_counters(self, tmp_path):

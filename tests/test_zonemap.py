@@ -1,4 +1,4 @@
-"""Tests for the stratified score zone-map index.
+"""Tests for the score bucket index.
 
 The index is a pure performance structure: every test here ultimately
 pins the same contract — indexed lookups are byte-identical to the
@@ -12,13 +12,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.stats_backend import ZONE_MAP_STAT, DiskBackend, statistic_entries
+from repro.core import stats_backend
+from repro.core.stats_backend import COUNTS_STAT, DiskBackend, statistic_entries
 from repro.core.thresholds import SELECT_EVERYTHING, SELECT_NOTHING
 from repro.core.zonemap import (
-    DEFAULT_STRATUM_SIZE,
+    BUCKETS,
     MIN_INDEXED_SIZE,
     ScoreZoneMap,
     SkipEstimate,
+    bucket_keys,
 )
 from repro.datasets import Dataset, make_beta_dataset
 from repro.query import SupgEngine
@@ -58,58 +60,66 @@ class TestBuild:
         zone_map = dataset.zone_map
         assert zone_map is not None
         assert zone_map.size == len(dataset)
-        assert zone_map.strata == -(-len(dataset) // DEFAULT_STRATUM_SIZE)
-        assert zone_map.stratum_size == DEFAULT_STRATUM_SIZE
-        # Per-stratum bounds bracket the sorted slice they summarize.
-        scores = dataset.sorted_scores
-        for j in range(zone_map.strata):
-            low, high = zone_map.offsets[j], zone_map.offsets[j + 1]
-            assert zone_map.lows[j] == scores[low]
-            assert zone_map.highs[j] == scores[high - 1]
-            assert zone_map.score_mass[j] == pytest.approx(scores[low:high].sum())
+        keys = bucket_keys(dataset.proxy_scores)
+        np.testing.assert_array_equal(zone_map.counts, np.bincount(keys, minlength=BUCKETS))
+        assert zone_map.strata == np.unique(keys).size
+        # Each bucket's run of the order holds exactly its records, in
+        # record-index order.
+        order = dataset.score_order
+        for bucket in np.unique(keys):
+            run = order[zone_map.offsets[bucket] : zone_map.offsets[bucket + 1]]
+            np.testing.assert_array_equal(run, np.flatnonzero(keys == bucket))
 
-    def test_last_stratum_may_be_short(self):
-        zone_map = ScoreZoneMap.build(np.linspace(0, 1, 100), stratum_size=30)
-        assert zone_map.strata == 4
-        assert int(zone_map.offsets[-1]) == 100
+    def test_keys_are_monotone_on_the_unit_interval(self):
+        scores = np.array([0.0, -0.0, 5e-324, 2.2e-308, 1e-300, 0.25, 0.5, 0.75, 1.0])
+        keys = bucket_keys(np.sort(np.concatenate([scores, np.random.default_rng(0).random(999)])))
+        assert keys.dtype == np.uint16
+        assert np.all(np.diff(keys.astype(int)) >= 0)
+        assert bucket_keys(np.array([-0.0, 0.0, 1.0])).tolist() == [0, 0, BUCKETS - 1]
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="non-empty"):
-            ScoreZoneMap.build(np.array([]))
-        with pytest.raises(ValueError, match="positive"):
-            ScoreZoneMap.build(np.linspace(0, 1, 10), stratum_size=0)
-        with pytest.raises(ValueError, match="misaligned"):
-            ScoreZoneMap(
-                offsets=np.array([0, 5]),
-                lows=np.array([0.0, 0.5]),
-                highs=np.array([0.4, 0.9]),
-                score_mass=np.array([1.0, 2.0]),
-            )
+        with pytest.raises(ValueError, match="bucket counts"):
+            ScoreZoneMap(np.zeros(BUCKETS - 1, dtype=np.int64))
+        with pytest.raises(ValueError, match="bucket counts"):
+            ScoreZoneMap(np.full(BUCKETS, -1))
 
     def test_dataset_below_threshold_has_no_index(self, tiny_dataset):
         assert tiny_dataset.zone_map is None
         # ... but force-building still works for benchmarks/tests.
-        forced = tiny_dataset.build_zone_map(stratum_size=4)
+        forced = tiny_dataset.build_zone_map()
         assert forced is tiny_dataset.zone_map
-        assert forced.strata == 3
+        assert forced.strata == np.unique(bucket_keys(tiny_dataset.proxy_scores)).size
 
 
 class TestLocate:
     def test_matches_global_searchsorted(self, dataset, rng):
+        """A threshold's cut in the ascending scores lies inside the run
+        of its own bucket, so every bucket above it is selected whole."""
         zone_map = dataset.zone_map
-        scores = dataset.sorted_scores
+        ascending = np.sort(dataset.proxy_scores)
         for tau in tau_panel(dataset, rng):
-            position, stratum = zone_map.locate(float(tau), scores)
-            assert position == np.searchsorted(scores, tau, side="left")
-            if position < len(dataset):
-                assert zone_map.offsets[stratum] <= position < zone_map.offsets[stratum + 1]
-            else:
-                assert stratum == zone_map.strata
+            if not 0.0 < tau <= 1.0:
+                continue
+            bucket = int(bucket_keys(np.array([tau]))[0])
+            position = np.searchsorted(ascending, tau, side="left")
+            assert zone_map.offsets[bucket] <= position <= zone_map.offsets[bucket + 1]
 
-    def test_count_above_matches_dense(self, dataset, rng):
-        for tau in tau_panel(dataset, rng):
-            dense = int(np.count_nonzero(dataset.proxy_scores >= tau))
-            assert dataset.count_above(float(tau)) == dense
+    def test_score_at_rank_matches_full_sort(self, dataset, rng):
+        descending = np.sort(dataset.proxy_scores)[::-1]
+        ranks = np.concatenate([[1, 2, len(dataset) - 1, len(dataset)],
+                                rng.integers(1, len(dataset) + 1, size=200)])
+        for rank in ranks:
+            assert dataset.score_at_rank(int(rank)) == descending[rank - 1]
+        with pytest.raises(ValueError, match="rank"):
+            dataset.score_at_rank(0)
+
+    def test_score_at_rank_returns_positive_zero(self):
+        scores = np.zeros(MIN_INDEXED_SIZE)
+        scores[::2] = -0.0
+        data = Dataset(scores, np.zeros(scores.size, dtype=np.int8))
+        for table in (data, data.subset(np.arange(100))):  # indexed, dense
+            tau = table.score_at_rank(3)
+            assert tau == 0.0 and not np.signbit(tau)
 
 
 class TestSelectAbove:
@@ -117,14 +127,12 @@ class TestSelectAbove:
         zone_map = dataset.zone_map
         for tau in tau_panel(dataset, rng):
             dense = np.flatnonzero(dataset.proxy_scores >= tau)
-            indexed = zone_map.select_above(
-                float(tau),
-                dataset.sorted_scores,
-                dataset.score_order,
-                dataset.proxy_scores,
-            )
-            np.testing.assert_array_equal(indexed, dense)
-            assert indexed.dtype == dense.dtype
+            for paged in (False, True):
+                indexed = zone_map.select_above(
+                    float(tau), dataset.score_order, dataset.proxy_scores, paged
+                )
+                np.testing.assert_array_equal(indexed, dense)
+                assert indexed.dtype == dense.dtype
 
     def test_boundary_semantics(self, dataset):
         assert dataset.select_above(SELECT_NOTHING).size == 0
@@ -145,14 +153,20 @@ class TestSelectAbove:
         assert zone_map.counters["records_skipped"] >= before["records_skipped"] + len(data)
 
 
+def _midpoint_mass(zone_map):
+    """Each bucket's count times its midpoint score (1.0 at most)."""
+    floors = (np.arange(BUCKETS + 1, dtype=np.uint64) << np.uint64(48)).view(np.float64)
+    return zone_map.counts * np.minimum((floors[:-1] + floors[1:]) / 2, 1.0)
+
+
 class TestPlanEstimate:
     def test_recall_tail_holds_gamma_mass(self, dataset):
         zone_map = dataset.zone_map
         estimate = zone_map.plan_estimate(recall=True, gamma=0.9)
         assert isinstance(estimate, SkipEstimate)
-        total = float(zone_map.tail_mass[0])
-        kept = float(zone_map.tail_mass[estimate.start_stratum])
-        assert kept >= 0.9 * total
+        mass = _midpoint_mass(zone_map)
+        kept = mass[zone_map.offsets[:-1] >= estimate.est_skipped].sum()
+        assert kept >= 0.9 * mass.sum()
         assert estimate.strata_touched + estimate.start_stratum == zone_map.strata
         assert estimate.est_selected + estimate.est_skipped == len(dataset)
 
@@ -168,27 +182,20 @@ class TestPlanEstimate:
 
 
 def _no_build(*args, **kwargs):
-    raise AssertionError("a warm zone-map file must be read, not rebuilt")
-
-
-def _map_bytes(zone_map):
-    return [
-        getattr(zone_map, name).tobytes()
-        for name in ("offsets", "lows", "highs", "score_mass")
-    ]
+    raise AssertionError("a warm bucket-counts file must be read, not rebuilt")
 
 
 class TestSidecar:
-    """The zone map's persisted form: a disk-backend statistic file that
-    its ``.meta.json`` sidecar validates (format version, fingerprint,
-    length) before it is served; anything else is quarantined and the
-    map rebuilt."""
+    """The zone map's persisted form: a bucket-counts statistic file
+    that its ``.meta.json`` sidecar validates (format version,
+    fingerprint, length) before it is served; anything else is
+    quarantined and the counts rebuilt."""
 
     def _forge(self, dataset, tmp_path, **meta_fields):
         """Persist the dataset's map, then overwrite sidecar fields."""
         backend = DiskBackend(tmp_path)
         backend.zone_map(dataset)
-        path = backend.stat_path(dataset.fingerprint, ZONE_MAP_STAT)
+        path = backend.stat_path(dataset.fingerprint, COUNTS_STAT)
         meta_path = path.with_name(path.name + ".meta.json")
         meta = json.loads(meta_path.read_text())
         meta.update(meta_fields)
@@ -197,14 +204,14 @@ class TestSidecar:
 
     def _assert_rebuilt(self, dataset, tmp_path):
         backend = DiskBackend(tmp_path)
-        assert _map_bytes(backend.zone_map(dataset)) == _map_bytes(dataset.zone_map)
+        assert backend.zone_map(dataset).counts.tobytes() == dataset.zone_map.counts.tobytes()
         assert backend.counters["stats_quarantined"] == 1
 
     def test_round_trip(self, dataset, tmp_path, monkeypatch):
         DiskBackend(tmp_path).zone_map(dataset)
-        monkeypatch.setattr(ScoreZoneMap, "build", _no_build)
+        monkeypatch.setattr(stats_backend, "bucket_keys", _no_build)
         loaded = DiskBackend(tmp_path).zone_map(dataset)
-        assert _map_bytes(loaded) == _map_bytes(dataset.zone_map)
+        assert loaded.counts.tobytes() == dataset.zone_map.counts.tobytes()
 
     def test_rejects_foreign_fingerprint(self, dataset, tmp_path):
         self._forge(dataset, tmp_path, fingerprint="deadbeef" * 8)
@@ -222,7 +229,7 @@ class TestSidecar:
         self._assert_rebuilt(dataset, tmp_path)
 
     def test_entries_report_corruption(self, tmp_path):
-        name = DiskBackend.stat_filename("bad" * 8, ZONE_MAP_STAT)
+        name = DiskBackend.stat_filename("bad" * 8, COUNTS_STAT)
         (tmp_path / name).write_bytes(b"not an npy")
         [entry] = statistic_entries(tmp_path)
         assert "error" in entry and entry["state"] == "stale"
@@ -254,24 +261,24 @@ class TestEngineTelemetry:
         data = make_beta_dataset(0.01, 1.0, size=MIN_INDEXED_SIZE, seed=9)
         engine = SupgEngine(store_dir=str(tmp_path), backend="disk")
         engine.register_table("t", data)
-        path = engine.stats_backend.stat_path(data.fingerprint, ZONE_MAP_STAT)
-        # Registration is lazy: it forces neither the sort nor the
-        # index build.
+        path = engine.stats_backend.stat_path(data.fingerprint, COUNTS_STAT)
+        # Registration is lazy: it forces neither the order nor the
+        # counts.
         assert not path.exists()
         assert "zone_map" not in data.__dict__
-        assert "sorted_scores" not in data.__dict__
-        # First use builds the index and persists it with its sidecar.
+        assert "score_order" not in data.__dict__
+        # First use counts the buckets and persists them with a sidecar.
         assert data.zone_map is not None
         assert path.exists() and path.with_name(path.name + ".meta.json").exists()
         # A second engine (fresh dataset object, same content) reads the
-        # index from the file on first access, never sorting at all.
+        # index from the file on first access, never keying a score.
         clone = make_beta_dataset(0.01, 1.0, size=MIN_INDEXED_SIZE, seed=9)
         assert "zone_map" not in clone.__dict__
         engine2 = SupgEngine(store_dir=str(tmp_path), backend="disk")
         engine2.register_table("t", clone)
         zone_map = clone.zone_map
         assert zone_map is not None
-        assert "sorted_scores" not in clone.__dict__
+        assert "score_order" not in clone.__dict__
         assert engine2.session_stats()["sorts_performed"] == 0
         np.testing.assert_array_equal(zone_map.offsets, data.zone_map.offsets)
 
@@ -281,7 +288,7 @@ class TestEngineTelemetry:
         engine = SupgEngine(store_dir=str(tmp_path), backend="disk")
         engine.register_table("t", data)
         assert data.zone_map is None
-        path = engine.stats_backend.stat_path(data.fingerprint, ZONE_MAP_STAT)
+        path = engine.stats_backend.stat_path(data.fingerprint, COUNTS_STAT)
         assert not path.exists()
 
 
