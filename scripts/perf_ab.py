@@ -18,10 +18,10 @@ their seed, and the side that runs first alternates from pair to pair.
 It first prints the Python and numpy versions, numpy's SIMD level and
 the CPU count of the interpreter the runs use: a gain can hang on one
 numpy release (numpy 2.4's ``unique`` re-sorts sorted input) or on the
-CPU (the default ``argsort`` under the stable score order is about 3x
-faster with AVX-512 than without SIMD), and CI installs numpy
-unpinned.  Then it prints one row per workload and end-to-end metric
-with each side's median and quartiles, the change, how many seed-paired
+CPU (numpy's default ``argsort`` of floats is about 3x faster with
+AVX-512 than without SIMD), and CI installs numpy unpinned.  Then it
+prints one row per workload and end-to-end metric with each side's
+median and quartiles, the change, how many seed-paired
 runs the head won in the metric's ``better`` direction (ties count for
 neither side), the bound, and a verdict:
 
@@ -91,7 +91,7 @@ def run_problems(workload: str, side: str, runs: list[dict]) -> list[str]:
 
 #: The SIMD levels numpy's sorts dispatch to, fastest first, as ``(name,
 #: numpy 2.4+ target group)``.  x86-simd-sort serves the default
-#: ``argsort`` at either level, which the stable score order is built on.
+#: ``argsort`` at either level.
 SIMD_LEVELS = (("AVX512_SKX", "X86_V4"), ("AVX2", "X86_V3"))
 
 

@@ -383,9 +383,9 @@ class PlannedExecution:
             generator seed, joint query, no declared design) — empty
             for grouped executions.
         skip: zone-map cost estimate (non-empty score buckets and rows
-            touched) for the execution's materialization, when its dataset is
-            indexed — ``None`` for unindexed datasets and unplanned
-            executions.
+            touched) for the execution's materialization, when its
+            dataset is indexed — ``None`` for unindexed datasets and
+            unplanned executions.
     """
 
     index: int
@@ -711,10 +711,9 @@ def _skip_estimate(
     Uses each score bucket's count times its midpoint score as its
     expected positive count (the calibrated-proxy assumption
     :func:`plan_budget` already makes), so the estimate needs no oracle
-    labels: an RT query keeps
-    the smallest score tail holding ``gamma`` of the expected positive
-    mass, a PT query the largest tail whose expected precision still
-    meets ``gamma``.
+    labels: an RT query keeps the smallest score tail holding ``gamma``
+    of the expected positive mass, a PT query the largest tail whose
+    expected precision still meets ``gamma``.
     """
     zone_map = dataset.zone_map
     query = getattr(selector, "query", None)

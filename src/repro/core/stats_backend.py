@@ -120,8 +120,8 @@ _STAT_FORMAT_VERSION = 1
 #: bucket order (``intp``, one per record) and the per-bucket record
 #: counts (``int64``, one per bucket).  Stores written before the index
 #: held ``sorted-scores``, ``score-order`` and ``zone-map`` files; no
-#: backend opens those names, so a parent-era ``score-order`` file (the
-#: right length and dtype, but another order) is never served.
+#: backend opens those names, so such a ``score-order`` file (the right
+#: length and dtype, but another order) is never served.
 ORDER_STAT = "bucket-order"
 COUNTS_STAT = "bucket-counts"
 
@@ -152,9 +152,7 @@ def _fresh_counters() -> dict[str, int]:
     return counters
 
 
-def _note_chunk(counters: dict[str, int] | None, nbytes: int) -> None:
-    if counters is None:
-        return
+def _note_chunk(counters: dict[str, int], nbytes: int) -> None:
     if nbytes > counters["peak_chunk_bytes"]:
         counters["peak_chunk_bytes"] = int(nbytes)
 
@@ -208,8 +206,7 @@ def chunked_pairwise_sum(
 
 
 def scatter_bucket_order(
-    scores, counts: np.ndarray, out, chunk_records: int,
-    counters: dict[str, int] | None = None,
+    scores, counts: np.ndarray, out, chunk_records: int, counters: dict[str, int]
 ):
     """Write the bucket order of ``scores`` into ``out``, chunk by chunk.
 
@@ -233,8 +230,7 @@ def scatter_bucket_order(
         targets += np.arange(local.size)
         out[targets] = local + low
         cursors += chunk_counts
-        if counters is not None:
-            counters["chunks_merged"] += 1
+        counters["chunks_merged"] += 1
         _note_chunk(counters, keys.nbytes + 3 * local.nbytes)
     return out
 
@@ -686,8 +682,8 @@ def statistic_entries(directory) -> list[dict[str, object]]:
     quarantine and rebuild it on access — or a statistic no backend
     reads any more, such as the weight vectors that inverse CDFs
     replaced and the sorted scores, stable order and zone map that the
-    bucket index replaced).  A readable label column also reports ``known``, the
-    records whose label it holds.
+    bucket index replaced).  A readable label column also reports
+    ``known``, the records whose label it holds.
     """
     base = Path(directory).expanduser()
     entries: list[dict[str, object]] = []

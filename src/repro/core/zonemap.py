@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Bucket keys a score in [0, 1] can take: ``0`` (zeros and subnormals
-#: below ``2**-1022 * 17/16``) to ``0x3FF0`` (exactly 1.0).
+#: below ``2**-1026``) to ``0x3FF0`` (exactly 1.0).
 BUCKETS = 0x3FF0 + 1
 
 #: Below this many records the dense path is already cheap and
@@ -141,9 +141,9 @@ class ScoreZoneMap:
     """Per-bucket record counts of one dataset's proxy scores.
 
     Build from the scores with :meth:`build`, or from persisted counts.
-    The map holds only the counts and their prefix sums; the bucket
-    order and the scores stay on the dataset, so instances are cheap to
-    inherit, pickle and persist.
+    The map holds only the counts and per-bucket arrays derived from
+    them; the bucket order and the scores stay on the dataset, so
+    instances are cheap to inherit, pickle and persist.
 
     Scan telemetry accrues in :attr:`counters`.  A map served by a
     statistics backend counts into that backend's ``counters`` dict
@@ -164,6 +164,16 @@ class ScoreZoneMap:
         #: Non-empty buckets at or above each bucket (length ``BUCKETS + 1``).
         self.strata_above = np.concatenate(
             [np.cumsum((self.counts > 0)[::-1])[::-1], [0]]
+        )
+        #: Expected positives at or above each bucket, each bucket's being
+        #: its count times its midpoint score (length ``BUCKETS + 1``).
+        self.tail_mass = np.concatenate(
+            [np.cumsum((self.counts * _MIDPOINTS)[::-1])[::-1], [0.0]]
+        )
+        tail_counts = self.size - self.offsets[:-1]
+        #: Expected precision of the records at or above each bucket.
+        self.tail_precision = np.divide(
+            self.tail_mass[:-1], tail_counts, out=np.zeros(BUCKETS), where=tail_counts > 0
         )
         self.counters: dict[str, int] = dict.fromkeys(ZONE_MAP_COUNTERS, 0)
 
@@ -240,16 +250,12 @@ class ScoreZoneMap:
           ``gamma`` (monotone in the start bucket, as the midpoints
           increase).
         """
-        tail_mass = np.concatenate([np.cumsum((self.counts * _MIDPOINTS)[::-1])[::-1], [0.0]])
+        total = self.tail_mass[0]
         if recall:
-            qualifying = np.flatnonzero(tail_mass[:-1] >= gamma * tail_mass[0])
-            start = int(qualifying.max()) if tail_mass[0] > 0.0 and qualifying.size else 0
+            qualifying = np.flatnonzero(self.tail_mass[:-1] >= gamma * total)
+            start = int(qualifying.max()) if total > 0.0 and qualifying.size else 0
         else:
-            tail_counts = self.size - self.offsets[:-1]
-            precision = np.divide(
-                tail_mass[:-1], tail_counts, out=np.zeros(BUCKETS), where=tail_counts > 0
-            )
-            qualifying = np.flatnonzero(precision >= gamma)
+            qualifying = np.flatnonzero(self.tail_precision >= gamma)
             start = int(qualifying.min()) if qualifying.size else BUCKETS
         touched = int(self.strata_above[start])
         return SkipEstimate(

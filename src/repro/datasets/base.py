@@ -123,11 +123,12 @@ class Dataset:
     # arrays — the score bucket index (every threshold scan and
     # Algorithm 5's stage-1 cut) and the inverse CDF of the defensive
     # importance weights (Algorithms 4-5) — so a Dataset computes each
-    # once and reuses it across the 100+ trials of an experiment cell.  *What* each statistic is
-    # lives here; *where its bytes live* is the attached :class:`~repro.core.stats_backend.
-    # StatisticsBackend` — RAM ndarrays (memory backend) or read-only
-    # ``np.memmap`` windows over fingerprint-keyed store files (disk
-    # backend), bit-identical either way.  The memoized views live in
+    # once and reuses it across the 100+ trials of an experiment cell.
+    # *What* each statistic is lives here; *where its bytes live* is the
+    # attached :class:`~repro.core.stats_backend.StatisticsBackend` —
+    # RAM ndarrays (memory backend) or read-only ``np.memmap`` windows
+    # over fingerprint-keyed store files (disk backend), bit-identical
+    # either way.  The memoized views live in
     # the instance ``__dict__`` (``cached_property`` bypasses the
     # frozen-dataclass setattr), and ``subset``/``with_scores`` build
     # new instances, so derived datasets never see stale statistics.

@@ -15,7 +15,7 @@ drawn for one query is replayed (bit-exactly) by any later query that
 shares its sampling design, seed, and budget, e.g. the same query at a
 different target, or a different selector over the same design.
 Proxy-UDF-derived datasets are cached per (table, UDF) as well, so
-their sorted-score statistics are computed once rather than per query.
+their score statistics are computed once rather than per query.
 
 Batch execution
 ---------------
@@ -649,7 +649,7 @@ class SupgEngine:
         if udf is None:
             return dataset
         # Cache the derived dataset per (table, UDF): re-deriving every
-        # execute() would discard the cached sorted-score statistics and
+        # execute() would discard the cached score statistics and
         # give each query a fresh fingerprint, defeating sample reuse.
         key = (parsed.table, parsed.proxy.name.upper())
         with self._lock:

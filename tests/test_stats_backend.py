@@ -34,7 +34,7 @@ from repro.core.stats_backend import (
     statistic_entries,
 )
 from repro.core.pipeline import SampleStore
-from repro.core.zonemap import BUCKETS, MIN_INDEXED_SIZE, bucket_keys
+from repro.core.zonemap import BUCKETS, MIN_INDEXED_SIZE, ScoreZoneMap, bucket_keys
 from repro.datasets import Dataset, make_beta_dataset
 from repro.faults import FaultPlan, corrupt_statistic, inject
 from repro.query import SupgEngine
@@ -94,7 +94,8 @@ class TestChunkedArgsort:
     def chunked(values, chunk):
         counts = np.bincount(bucket_keys(values), minlength=BUCKETS)
         out = np.empty(values.size, dtype=np.intp)
-        return scatter_bucket_order(values, counts, out, chunk)
+        counters = {"chunks_merged": 0, "peak_chunk_bytes": 0}
+        return scatter_bucket_order(values, counts, out, chunk, counters)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 1000, 4097])
     @pytest.mark.parametrize("chunk", [1, 2, 3, 17, 100, 10**6])
@@ -107,11 +108,36 @@ class TestChunkedArgsort:
         assert order.tobytes() == ref_order.tobytes()
         assert order.dtype == ref_order.dtype
 
-    @pytest.mark.parametrize("chunk", [1, 3, 17, 10**6])
-    def test_mixed_signed_zeros(self, chunk):
-        values = np.random.default_rng(chunk).choice([-0.0, 0.0, 0.5, 5e-324], size=301)
+    @staticmethod
+    def assert_selections_match(values, order, taus):
+        zone_map = ScoreZoneMap(np.bincount(bucket_keys(values), minlength=BUCKETS))
+        for tau in taus:
+            want = np.flatnonzero(values >= tau)
+            for paged in (False, True):
+                assert zone_map.select_above(tau, order, values, paged).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64, 10**6])
+    def test_infinity_sentinels(self, chunk):
+        """Scores lie in [0, 1], so infinities arrive as thresholds: the
+        ``SELECT_NOTHING`` sentinel and its negation, over the extremes."""
+        rng = np.random.default_rng(0)
+        values = rng.random(257)
+        values[::5] = 1.0
+        values[1::7] = 0.0
         order = self.chunked(values, chunk)
         assert order.tobytes() == _reference_order(values).tobytes()
+        self.assert_selections_match(values, order, [np.inf, -np.inf])
+
+    @pytest.mark.parametrize("chunk", [1, 3, 17, 10**6])
+    @pytest.mark.parametrize("pool", [[-0.0, 0.0, 0.5], [np.nan, -0.0, 0.0, 1.0]],
+                             ids=["signed-zeros", "nan"])
+    def test_mixed_signed_zeros_and_nan(self, chunk, pool):
+        """Signed zeros key alike.  A score cannot be NaN (``Dataset``
+        rejects it), so NaN arrives as a threshold, which selects nothing."""
+        values = np.random.default_rng(chunk).choice([v for v in pool if v == v], size=301)
+        order = self.chunked(values, chunk)
+        assert order.tobytes() == _reference_order(values).tobytes()
+        self.assert_selections_match(values, order, pool)
 
     def test_all_equal(self):
         values = np.full(513, 0.25)
@@ -152,16 +178,16 @@ class TestChunkedPairwiseSum:
 
 
 class TestBackendParity:
-    @pytest.mark.parametrize("chunk", [1, 3, 4097, 5001])
-    def test_score_order_bitwise_at_chunk_edges(self, tmp_path, chunk):
+    def test_score_order_bitwise_at_chunk_edges(self, tmp_path):
         """Chunks of one record, a few, many, and more than n records."""
         data = make_dataset(size=5000)
-        disk = DiskBackend(tmp_path, chunk_records=chunk)
         memory = InMemoryBackend().score_order(data)
         assert memory.tobytes() == _reference_order(data.proxy_scores).tobytes()
-        assert disk.score_order(data).tobytes() == memory.tobytes()
-        assert disk.score_order(data).dtype == memory.dtype
-        assert disk.counters["chunks_merged"] == -(-data.size // chunk)
+        for chunk in (1, 3, 4097, data.size + 1):
+            disk = DiskBackend(tmp_path / str(chunk), chunk_records=chunk)
+            assert disk.score_order(data).tobytes() == memory.tobytes(), chunk
+            assert disk.score_order(data).dtype == memory.dtype
+            assert disk.counters["chunks_merged"] == -(-data.size // chunk)
 
     @pytest.mark.parametrize("exponent,mixing", WEIGHT_DESIGNS)
     def test_weights_bitwise(self, tmp_path, exponent, mixing):
@@ -521,7 +547,7 @@ class TestCorruptionRecovery:
         assert leftovers == []
 
 
-class TestParentEraStore:
+class TestStoreWrittenBeforeTheIndex:
     """A store directory written before the bucket index holds
     ``sorted-scores``, ``score-order`` and ``zone-map`` files with valid
     sidecars.  No backend opens them (a ``score-order`` file has the
@@ -540,12 +566,12 @@ class TestParentEraStore:
             path = cold.stats_backend.stat_path(data.fingerprint, name)
             path.unlink()
             path.with_name(path.name + ".meta.json").unlink()
-        parent_era = {
+        older = {
             "sorted-scores": np.sort(data.proxy_scores),
             "score-order": np.argsort(data.proxy_scores, kind="stable"),
             "zone-map": np.zeros(3 * -(-data.size // 8192)),
         }
-        for name, array in parent_era.items():
+        for name, array in older.items():
             tmp = tmp_path / f".forged-{name}.npy"
             np.save(tmp, array)
             final = cold.stats_backend.stat_path(data.fingerprint, name)
@@ -567,8 +593,8 @@ class TestParentEraStore:
         assert stats["labels_drawn"] == 0
         assert stats["stats_quarantined"] == 0
         entries = {entry["stat"]: entry for entry in statistic_entries(tmp_path)}
-        assert {name: entries[name]["state"] for name in parent_era} == dict.fromkeys(
-            parent_era, "stale"
+        assert {name: entries[name]["state"] for name in older} == dict.fromkeys(
+            older, "stale"
         )
         assert entries[ORDER_STAT]["state"] == entries[COUNTS_STAT]["state"] == "warm"
         assert entries[LABELS_STAT]["state"] == "warm"
